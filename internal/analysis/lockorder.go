@@ -1,13 +1,10 @@
 package analysis
 
-// hpcclock — the lock-ordering contract. The sharded fused-collective
-// engine (internal/nx/shard.go) runs one mutex per engineShard, and the
-// cross-engine hand-off protocol is built on a single rule: no goroutine
-// ever holds two engine locks at once — cross-shard work unlocks one
-// engine before locking the next, so shards cannot deadlock on lock
-// order. The same shape generalizes: holding two mutexes that live in
-// two instances of the *same* struct type is exactly the symmetric
-// deadlock the contract forbids, wherever it appears.
+// hpcclock — the lock-ordering contract: no goroutine ever holds two
+// mutexes that live in two instances of the *same* struct type. Two
+// goroutines taking such a pair in opposite orders deadlock, so the
+// rule is to unlock one instance before locking the next, wherever the
+// shape appears.
 //
 // The analyzer checks, per function body, a single linear pass:
 //

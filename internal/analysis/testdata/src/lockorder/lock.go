@@ -1,6 +1,6 @@
 // Package lockorder is the hpcclock analysistest fixture. The shard
-// type mirrors internal/nx's engineShard: one mutex per shard, with the
-// contract that no flow ever holds two shard locks at once.
+// type is a sharded engine: one mutex per shard, with the contract that
+// no flow ever holds two shard locks at once.
 package lockorder
 
 import (

@@ -239,10 +239,8 @@ func cmdResume(ctx context.Context, args []string, stdout, stderr io.Writer) err
 		j.Close()
 		return err
 	}
-	if err := (&simShardsFlags{n: h.SimShards}).apply(); err != nil {
-		j.Close()
-		return err
-	}
+	// h.SimShards is not applied: output never depended on the engine's
+	// shard count, so a journal recording any count resumes as is.
 	jobList := make([]harness.Job, len(h.Jobs))
 	for i, hj := range h.Jobs {
 		w, lerr := harness.Lookup(hj.WorkloadID)

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/journal"
+	"repro/internal/nx"
 )
 
 // sweepJobs mirrors the job list `hpcc sweep -ids <ids> -quick` builds.
@@ -33,7 +34,13 @@ func sweepJobs(t *testing.T, ids ...string) []harness.Job {
 // job's checkpoint.
 func interruptedSweep(t *testing.T, dir string, jobs []harness.Job, nDone int) string {
 	t.Helper()
-	j, err := journal.Create(dir, journalHeader("sweep", jobs, false))
+	return interruptedSweepHeader(t, dir, journalHeader("sweep", jobs, false), jobs, nDone)
+}
+
+// interruptedSweepHeader is interruptedSweep under an explicit header.
+func interruptedSweepHeader(t *testing.T, dir string, h journal.Header, jobs []harness.Job, nDone int) string {
+	t.Helper()
+	j, err := journal.Create(dir, h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,22 +99,30 @@ func TestResumeFinishesInterruptedSweepByteIdentical(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("plain sweep exit %d", code)
 	}
-	dir := t.TempDir()
-	interruptedSweep(t, dir, sweepJobs(t, "E1", "E3"), 1)
+	// Journals written by older binaries with a sharded engine record
+	// their shard count; output never depended on it, so any count
+	// resumes.
+	for _, shards := range []int{nx.DefaultShards(), 4} {
+		dir := t.TempDir()
+		jobs := sweepJobs(t, "E1", "E3")
+		h := journalHeader("sweep", jobs, false)
+		h.SimShards = shards
+		interruptedSweepHeader(t, dir, h, jobs, 1)
 
-	got, errOut, code := run(t, "resume", "-journal", dir)
-	if code != 0 {
-		t.Fatalf("resume exit %d: %s", code, errOut)
-	}
-	if got != want {
-		t.Fatalf("resumed output differs from uninterrupted sweep:\n%q\n---\n%q", got, want)
-	}
-	if !strings.Contains(errOut, "1 of 2 job(s) already complete") {
-		t.Fatalf("replay count missing: %q", errOut)
-	}
-	paths, _ := journal.List(dir)
-	if len(paths) != 0 {
-		t.Fatalf("journal left behind after a completed resume: %v", paths)
+		got, errOut, code := run(t, "resume", "-journal", dir)
+		if code != 0 {
+			t.Fatalf("shards=%d: resume exit %d: %s", shards, code, errOut)
+		}
+		if got != want {
+			t.Fatalf("shards=%d: resumed output differs from uninterrupted sweep:\n%q\n---\n%q", shards, got, want)
+		}
+		if !strings.Contains(errOut, "1 of 2 job(s) already complete") {
+			t.Fatalf("shards=%d: replay count missing: %q", shards, errOut)
+		}
+		paths, _ := journal.List(dir)
+		if len(paths) != 0 {
+			t.Fatalf("shards=%d: journal left behind after a completed resume: %v", shards, paths)
+		}
 	}
 }
 

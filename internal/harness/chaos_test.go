@@ -66,9 +66,15 @@ func TestChaosIsDeterministic(t *testing.T) {
 	plan := ChaosPlan{Seed: 99, DropFrame: 0.4}
 	var evictions [2]int
 	for round := range evictions {
+		// The pristine worker holds its jobs until the faulty one's first
+		// connection has died, so every round plays the seeded story out
+		// instead of racing the pristine worker to the end of the sweep.
+		evicted := newGate()
 		faulty, _ := startRemoteWorker(t, counterReg(t, new(atomic.Int32), 0))
-		pristine, _ := startRemoteWorker(t, counterReg(t, new(atomic.Int32), 0))
-		base, stderr := remoteExec(execReg, faulty, pristine)
+		pristine, _ := startRemoteWorker(t, gatedReg(t, new(atomic.Int32), evicted))
+		base, _ := remoteExec(execReg, faulty, pristine)
+		stderr := &watchWriter{substr: "evicted", g: evicted}
+		base.Stderr = stderr
 		ex := NewChaosExecutor(base, plan, faulty)
 		if _, err := ex.Execute(context.Background(), jobs, nil); err != nil {
 			t.Fatalf("round %d: %v", round, err)
@@ -86,9 +92,13 @@ func TestChaosIsDeterministic(t *testing.T) {
 func TestChaosTruncationSurfacesAsTruncatedFrame(t *testing.T) {
 	execReg := counterReg(t, new(atomic.Int32), 0)
 	jobs := counterJobs(t, execReg, 4)
+	// The pristine worker holds its jobs until the faulty one is evicted.
+	evicted := newGate()
 	faulty, _ := startRemoteWorker(t, counterReg(t, new(atomic.Int32), 0))
-	pristine, _ := startRemoteWorker(t, counterReg(t, new(atomic.Int32), 0))
-	base, stderr := remoteExec(execReg, faulty, pristine)
+	pristine, _ := startRemoteWorker(t, gatedReg(t, new(atomic.Int32), evicted))
+	base, _ := remoteExec(execReg, faulty, pristine)
+	stderr := &watchWriter{substr: "evicted", g: evicted}
+	base.Stderr = stderr
 	// Truncate only inbound frames so the tear happens on the executor's
 	// own read path (outbound truncation is seen by the worker instead).
 	ex := NewChaosExecutor(base, ChaosPlan{Seed: 11, TruncateFrame: 1}, faulty)

@@ -62,11 +62,14 @@ func TestRemoteRedialReadmitsRevivedWorker(t *testing.T) {
 
 	// Fleet slot "revivable" first resolves to a worker that hangs on its
 	// first job and is then killed; the replacement on a fresh listener
-	// runs jobs for real. The survivor is slow so the revived worker has
-	// queued work left to steal when it rejoins.
+	// runs jobs for real. The survivor holds its jobs until the revived
+	// worker has run one, so the revived worker has queued work left to
+	// steal when it rejoins (and the doomed one is not starved of its
+	// first job).
+	rejoined := newGate()
 	oldAddr, killOld := startRemoteWorker(t, hangReg(t, started))
-	newAddr, _ := startRemoteWorker(t, counterReg(t, &revivedCalls, 0))
-	survivor, _ := startRemoteWorker(t, counterReg(t, new(atomic.Int32), 30*time.Millisecond))
+	newAddr, _ := startRemoteWorker(t, hookReg(t, &revivedCalls, func(context.Context) { rejoined.open() }))
+	survivor, _ := startRemoteWorker(t, gatedReg(t, new(atomic.Int32), rejoined))
 
 	var target atomic.Value
 	target.Store(oldAddr)
@@ -222,10 +225,13 @@ func TestRemoteRedialDisabledKeepsEvictionFinal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The survivor holds its jobs until the crasher has taken one.
+	crashed := newGate()
 	crasher := fakeWorker(t, execReg, func(conn net.Conn, fr *frameReader) {
 		fr.next() // read one job, then drop the connection
+		crashed.open()
 	})
-	survivor, _ := startRemoteWorker(t, counterReg(t, &fastCalls, 0))
+	survivor, _ := startRemoteWorker(t, gatedReg(t, &fastCalls, crashed))
 
 	var mu sync.Mutex
 	dials := map[string]int{}
@@ -330,8 +336,10 @@ func TestRemoteRedialHealsRefusedDials(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr0, _ := startRemoteWorker(t, counterReg(t, new(atomic.Int32), 0))
-	addr1, _ := startRemoteWorker(t, counterReg(t, new(atomic.Int32), 0))
+	// addr1 holds its jobs until addr0, readmitted, runs one.
+	readmitted := newGate()
+	addr0, _ := startRemoteWorker(t, signalReg(t, new(atomic.Int32), readmitted))
+	addr1, _ := startRemoteWorker(t, gatedReg(t, new(atomic.Int32), readmitted))
 	ex, stderr := remoteExec(execReg, addr0, addr1)
 	ex.Sleep = instantSleep
 	cx := NewChaosExecutor(ex, ChaosPlan{Seed: 7, RefuseDials: 2}, addr0)
@@ -354,8 +362,10 @@ func TestRemoteRedialHealsDroppedHandshakes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr0, _ := startRemoteWorker(t, counterReg(t, new(atomic.Int32), 0))
-	addr1, _ := startRemoteWorker(t, counterReg(t, new(atomic.Int32), 0))
+	// addr1 holds its jobs until addr0, readmitted, runs one.
+	readmitted := newGate()
+	addr0, _ := startRemoteWorker(t, signalReg(t, new(atomic.Int32), readmitted))
+	addr1, _ := startRemoteWorker(t, gatedReg(t, new(atomic.Int32), readmitted))
 	ex, stderr := remoteExec(execReg, addr0, addr1)
 	ex.Sleep = instantSleep
 	cx := NewChaosExecutor(ex, ChaosPlan{Seed: 11, DropHandshakes: 2}, addr0)

@@ -256,12 +256,21 @@ func TestRemoteStaleVersionRefusedNamingBothVersions(t *testing.T) {
 // which is how the tests see *where* each job actually ran.
 func counterReg(t *testing.T, calls *atomic.Int32, delay time.Duration) *Registry {
 	t.Helper()
-	reg := NewRegistry()
-	err := reg.Register(spec("r/job", func(_ context.Context, p Params) (Result, error) {
-		calls.Add(1)
+	return hookReg(t, calls, func(context.Context) {
 		if delay > 0 {
 			time.Sleep(delay)
 		}
+	})
+}
+
+// hookReg is counterReg with before run ahead of every job: a gate the
+// job waits on, or a signal that a job reached this worker.
+func hookReg(t *testing.T, calls *atomic.Int32, before func(ctx context.Context)) *Registry {
+	t.Helper()
+	reg := NewRegistry()
+	err := reg.Register(spec("r/job", func(ctx context.Context, p Params) (Result, error) {
+		calls.Add(1)
+		before(ctx)
 		n, err := p.Int("n", 0)
 		if err != nil {
 			return Result{}, err
@@ -272,6 +281,72 @@ func counterReg(t *testing.T, calls *atomic.Int32, delay time.Duration) *Registr
 		t.Fatal(err)
 	}
 	return reg
+}
+
+// gate is a one-shot barrier for fault stories. A story asserts what
+// happens to a faulty worker (it is evicted, readmitted, abandoned); if
+// the pristine worker beside it can finish every job first, the sweep
+// ends before the story plays out and the assertion fails for reasons of
+// host timing. The pristine worker's jobs therefore wait on a gate that
+// the faulty worker's story opens.
+type gate struct {
+	ch   chan struct{}
+	once sync.Once
+}
+
+func newGate() *gate { return &gate{ch: make(chan struct{})} }
+
+// open releases every waiter, now and later; it is idempotent.
+func (g *gate) open() { g.once.Do(func() { close(g.ch) }) }
+
+// wait blocks until the gate opens or the job's context ends. A story
+// that never plays out releases the job after a generous bound, so the
+// test fails its own assertion instead of hanging the suite.
+func (g *gate) wait(ctx context.Context) {
+	select {
+	case <-g.ch:
+	case <-ctx.Done():
+	case <-time.After(30 * time.Second):
+	}
+}
+
+// gatedReg is counterReg whose jobs wait on g: a pristine worker held
+// back until a fault story has played out.
+func gatedReg(t *testing.T, calls *atomic.Int32, g *gate) *Registry {
+	t.Helper()
+	return hookReg(t, calls, g.wait)
+}
+
+// signalReg is counterReg that opens g when a job reaches it: a faulty
+// worker whose story is complete once it runs a job.
+func signalReg(t *testing.T, calls *atomic.Int32, g *gate) *Registry {
+	t.Helper()
+	return hookReg(t, calls, func(context.Context) { g.open() })
+}
+
+// watchWriter is a goroutine-safe stderr sink for an executor that opens
+// g once the notes written so far contain substr.
+type watchWriter struct {
+	mu     sync.Mutex
+	buf    bytes.Buffer
+	substr string
+	g      *gate
+}
+
+func (w *watchWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	n, err := w.buf.Write(p)
+	if strings.Contains(w.buf.String(), w.substr) {
+		w.g.open()
+	}
+	return n, err
+}
+
+func (w *watchWriter) String() string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.buf.String()
 }
 
 func counterJobs(t *testing.T, reg *Registry, n int) []Job {
@@ -290,12 +365,16 @@ func counterJobs(t *testing.T, reg *Registry, n int) []Job {
 func TestRemoteWorkerKilledMidJobRedispatches(t *testing.T) {
 	const n = 8
 	started := make(chan struct{}, n)
+	// The fast worker holds its jobs until worker 0 has started one, so
+	// worker 0 cannot be starved of jobs before its death.
+	hung := newGate()
 	blockReg := NewRegistry()
 	err := blockReg.Register(spec("r/job", func(ctx context.Context, _ Params) (Result, error) {
 		// Same ID and version as counterReg's r/job — the fingerprints
 		// match — but this instance hangs until its connection dies, so
 		// every job landing here must be re-dispatched.
 		started <- struct{}{}
+		hung.open()
 		<-ctx.Done()
 		return Result{}, ctx.Err()
 	}))
@@ -311,7 +390,7 @@ func TestRemoteWorkerKilledMidJobRedispatches(t *testing.T) {
 	}
 
 	addr0, kill0 := startRemoteWorker(t, blockReg)
-	addr1, _ := startRemoteWorker(t, counterReg(t, &fastCalls, 0))
+	addr1, _ := startRemoteWorker(t, gatedReg(t, &fastCalls, hung))
 	ex, stderr := remoteExec(execReg, addr0, addr1)
 	emit, seen := orderedEmit(t)
 
@@ -357,11 +436,13 @@ func TestRemoteCrashedConnRedispatchesToSurvivor(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Worker 0 handshakes fine, reads one job, and drops the connection
-	// without answering.
+	// without answering. The survivor holds its jobs until then.
+	crashed := newGate()
 	crasher := fakeWorker(t, execReg, func(conn net.Conn, fr *frameReader) {
 		fr.next()
+		crashed.open()
 	})
-	addr1, _ := startRemoteWorker(t, counterReg(t, &fastCalls, 0))
+	addr1, _ := startRemoteWorker(t, gatedReg(t, &fastCalls, crashed))
 	ex, stderr := remoteExec(execReg, crasher, addr1)
 	got, err := ex.Execute(context.Background(), jobs, nil)
 	if err != nil {
@@ -379,10 +460,13 @@ func TestRemoteCrashedConnRedispatchesToSurvivor(t *testing.T) {
 func TestRemoteRetryBudgetBounded(t *testing.T) {
 	execReg := counterReg(t, new(atomic.Int32), 0)
 	jobs := counterJobs(t, execReg, 4)
+	// The survivor holds its jobs until the crasher has taken one.
+	crashed := newGate()
 	crasher := fakeWorker(t, execReg, func(conn net.Conn, fr *frameReader) {
 		fr.next()
+		crashed.open()
 	})
-	addr1, _ := startRemoteWorker(t, counterReg(t, new(atomic.Int32), 0))
+	addr1, _ := startRemoteWorker(t, gatedReg(t, new(atomic.Int32), crashed))
 	ex, _ := remoteExec(execReg, crasher, addr1)
 	ex.MaxAttempts = 1 // one send is the whole budget
 	_, err := ex.Execute(context.Background(), jobs, nil)
@@ -407,15 +491,19 @@ func TestRemoteHeartbeatEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Worker 0 accepts jobs and then goes completely silent: no results,
-	// no heartbeats. Only the deadline can unmask it.
+	// no heartbeats. Only the deadline can unmask it. The survivor holds
+	// its jobs until worker 0 has taken one, which it can only lose to
+	// the heartbeat deadline.
+	holding := newGate()
 	silent := fakeWorker(t, execReg, func(conn net.Conn, fr *frameReader) {
 		for {
 			if _, err := fr.next(); err != nil {
 				return
 			}
+			holding.open()
 		}
 	})
-	addr1, _ := startRemoteWorker(t, counterReg(t, &fastCalls, 0))
+	addr1, _ := startRemoteWorker(t, gatedReg(t, &fastCalls, holding))
 	ex, stderr := remoteExec(execReg, silent, addr1)
 	ex.HeartbeatTimeout = 300 * time.Millisecond
 	got, err := ex.Execute(context.Background(), jobs, nil)
@@ -518,5 +606,98 @@ func TestRemoteCancellation(t *testing.T) {
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
+	}
+}
+
+// closeTracker is a listener whose accepted conns record their Close,
+// so a test can see the server side of a connection from outside.
+type closeTracker struct {
+	net.Listener
+	mu    sync.Mutex
+	conns []*trackedConn
+}
+
+type trackedConn struct {
+	net.Conn
+	once   sync.Once
+	closed chan struct{}
+}
+
+func (c *trackedConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return c.Conn.Close()
+}
+
+func (l *closeTracker) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	tc := &trackedConn{Conn: conn, closed: make(chan struct{})}
+	l.mu.Lock()
+	l.conns = append(l.conns, tc)
+	l.mu.Unlock()
+	return tc, nil
+}
+
+func (l *closeTracker) accepted() []*trackedConn {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]*trackedConn(nil), l.conns...)
+}
+
+// TestRemoteWorkerClosesConnWhenExecutorLeaves: once an executor is done
+// with a worker — its sweep completed, or the worker refused it at the
+// handshake — the server must close its side of the connection while it
+// keeps serving, instead of leaving the socket open until GC.
+func TestRemoteWorkerClosesConnWhenExecutorLeaves(t *testing.T) {
+	execReg := counterReg(t, new(atomic.Int32), 0)
+	mismatched := counterReg(t, new(atomic.Int32), 0)
+	if err := mismatched.Register(echo("r/only-remote")); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		reg     *Registry
+		refused bool
+	}{
+		{"sweep completed", counterReg(t, new(atomic.Int32), 0), false},
+		{"handshake refused", mismatched, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			tl := &closeTracker{Listener: ln}
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				(&RemoteWorkerServer{Registry: tc.reg, HeartbeatInterval: 50 * time.Millisecond}).Serve(ctx, tl)
+			}()
+			defer func() {
+				cancel()
+				<-done
+			}()
+
+			ex, _ := remoteExec(execReg, ln.Addr().String())
+			ex.RedialAttempts = -1
+			_, err = ex.Execute(context.Background(), counterJobs(t, execReg, 3), nil)
+			if refused := err != nil; refused != tc.refused {
+				t.Fatalf("Execute error = %v, want refused=%v", err, tc.refused)
+			}
+			conns := tl.accepted()
+			if len(conns) == 0 {
+				t.Fatal("server accepted no connection")
+			}
+			for i, c := range conns {
+				select {
+				case <-c.closed:
+				case <-time.After(10 * time.Second):
+					t.Fatalf("server-side conn %d still open after the executor left", i)
+				}
+			}
+		})
 	}
 }

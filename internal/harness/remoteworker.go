@@ -131,6 +131,10 @@ func (s *RemoteWorkerServer) Serve(ctx context.Context, ln net.Listener) error {
 // shares the write side. The connection's jobs are cancelled as soon as
 // the connection dies — an executor that vanished is not waited for.
 func (s *RemoteWorkerServer) serveConn(ctx context.Context, conn net.Conn) error {
+	// The AfterFunc below only closes conn while the connection is live
+	// (stop unregisters it on return), so every return path must close
+	// conn itself — a refused handshake included.
+	defer conn.Close()
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	stop := context.AfterFunc(ctx, func() { conn.Close() })

@@ -37,10 +37,6 @@ type Config struct {
 	// engine's per-job context arrives here through the registry
 	// workloads, so a cancelled sweep stops simulating promptly.
 	Ctx context.Context
-	// Shards partitions the simulation's collective engine across host
-	// cores (nx.Config.Shards); 0 uses the process-wide -sim-shards
-	// default. Results are bit-identical for every value.
-	Shards int
 }
 
 // Outcome reports a completed run.
@@ -83,7 +79,7 @@ func Run(cfg Config) (*Outcome, error) {
 	var keptLU []float64
 	var keptPiv []int
 
-	res, err := nx.Run(nx.Config{Model: cfg.Model, Procs: p, Trace: cfg.Trace, Ctx: cfg.Ctx, Shards: cfg.Shards}, func(proc *nx.Proc) {
+	res, err := nx.Run(nx.Config{Model: cfg.Model, Procs: p, Trace: cfg.Trace, Ctx: cfg.Ctx}, func(proc *nx.Proc) {
 		w := newWorker(proc, cfg)
 		w.factor()
 		// synchronize and record the timed region before verification
@@ -136,7 +132,7 @@ type worker struct {
 	mloc   int       // local rows
 	nloc   int       // local cols
 	a      []float64 // local matrix, column-major mloc x nloc (real mode)
-	ipiv   []int     // global pivot rows, all steps
+	ipiv   []int     // global pivot rows, all steps (real mode only)
 	world  *nx.Group
 	rowG   *nx.Group // my grid row: ranks (pr*gc + c)
 	colG   *nx.Group // my grid column: ranks (r*gc + pc)
@@ -151,7 +147,9 @@ func newWorker(p *nx.Proc, cfg Config) *worker {
 	w.pr, w.pc = p.Rank()/w.gc, p.Rank()%w.gc
 	w.mloc = NumLocal(w.n, w.nb, w.gr, w.pr)
 	w.nloc = NumLocal(w.n, w.nb, w.gc, w.pc)
-	w.ipiv = make([]int, w.n)
+	if !cfg.Phantom {
+		w.ipiv = make([]int, w.n)
+	}
 
 	w.world = p.World()
 	rowMembers := make([]int, w.gc)
@@ -196,6 +194,18 @@ func (w *worker) phantomPivot(j int) int {
 	x ^= x >> 27
 	span := w.n - j
 	return j + int(x%uint64(span))
+}
+
+// phantomPivotSeen returns the pivot row of column j, in the panel owned
+// by process column colOwner, as this process sees it in phantom mode,
+// which keeps no pivot array: the owning column computed phantomPivot(j)
+// in panelFactor, and every other column sees 0, because BcastPhantom
+// carries no pivots.
+func (w *worker) phantomPivotSeen(j, colOwner int) int {
+	if w.pc == colOwner {
+		return w.phantomPivot(j)
+	}
+	return 0
 }
 
 // pivotOp keeps the (|value|, row) pair with the larger magnitude, breaking
@@ -264,7 +274,9 @@ func (w *worker) panelFactor(j0, kb int) {
 			}
 			gRow = int(out[1])
 		}
-		w.ipiv[j] = gRow
+		if !w.cfg.Phantom {
+			w.ipiv[j] = gRow
+		}
 
 		// --- swap rows j <-> gRow across the full panel width ---
 		if gRow != j {
@@ -381,7 +393,8 @@ func (w *worker) broadcastPanel(j0, kb, colOwner int) (panel []float64, ldp, liP
 // exchanges between the two owning grid rows in every process column).
 func (w *worker) applyTrailingSwaps(j0, kb, colOwner int) {
 	// columns to swap: all local columns except the kb panel columns
-	var segs [][2]int // local column ranges [start, end)
+	var segBuf [2][2]int // local column ranges [start, end)
+	segs := segBuf[:0]
 	if w.pc == colOwner {
 		lj0 := GlobalToLocal(j0, w.nb, w.gc)
 		if lj0 > 0 {
@@ -405,7 +418,7 @@ func (w *worker) applyTrailingSwaps(j0, kb, colOwner int) {
 	// inner loop (this loop runs P x N times per factorization).
 	ownerJ := Owner(j0, w.nb, w.gr)
 	if w.cfg.Phantom {
-		w.applyTrailingSwapsPhantom(j0, kb, ownerJ, width)
+		w.applyTrailingSwapsPhantom(j0, kb, colOwner, ownerJ, width)
 		return
 	}
 	for jj := 0; jj < kb; jj++ {
@@ -459,17 +472,16 @@ func (w *worker) applyTrailingSwaps(j0, kb, colOwner int) {
 //
 // Run boundaries must be derived identically by both members of every
 // exchange pair. Pairs always share a process column, and a process
-// column's ipiv view is consistent down the column (the owning column
-// computes real pivots; the others all see the zeros BcastPhantom leaves
-// behind), so a shared scan of ipiv suffices: skips (gRow == j) do
-// nothing on any process and are transparent; a swap local to the owning
-// row advances that row's clock, so it ends the run; a swap against a
-// different peer row starts a new run. Batching a run is exact because
+// column's pivot view is consistent down the column (see
+// phantomPivotSeen), so a shared scan of the pivots suffices: skips
+// (gRow == j) do nothing on any process and are transparent; a swap
+// local to the owning row advances that row's clock, so it ends the run;
+// a swap against a different peer row starts a new run. Batching a run is exact because
 // its exchanges are back-to-back in every participant's program.
-func (w *worker) applyTrailingSwapsPhantom(j0, kb, ownerJ, width int) {
+func (w *worker) applyTrailingSwapsPhantom(j0, kb, colOwner, ownerJ, width int) {
 	for jj := 0; jj < kb; {
 		j := j0 + jj
-		gRow := w.ipiv[j]
+		gRow := w.phantomPivotSeen(j, colOwner)
 		if gRow == j {
 			jj++
 			continue
@@ -485,7 +497,7 @@ func (w *worker) applyTrailingSwapsPhantom(j0, kb, ownerJ, width int) {
 		cnt := 1
 		for jj++; jj < kb; jj++ {
 			jn := j0 + jj
-			gn := w.ipiv[jn]
+			gn := w.phantomPivotSeen(jn, colOwner)
 			if gn == jn {
 				continue
 			}

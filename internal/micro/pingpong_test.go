@@ -3,6 +3,7 @@ package micro
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -10,24 +11,25 @@ import (
 	"repro/internal/machine"
 )
 
-// The sweep must be bit-identical for every engine shard count — it is
-// the cheap canary the big differential suites lean on.
-func TestPingPongShardDifferential(t *testing.T) {
-	run := func(shards int) *Outcome {
-		out, err := Run(Config{Procs: 16, Shards: shards, Model: machine.Delta()})
+// The sweep must be bit-identical however many host cores run the
+// simulation — it is the cheap canary the big differential suites lean on.
+func TestPingPongGOMAXPROCSDifferential(t *testing.T) {
+	run := func(procs int) *Outcome {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		out, err := Run(Config{Procs: 16, Model: machine.Delta()})
 		if err != nil {
-			t.Fatalf("Shards=%d: %v", shards, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		return out
 	}
 	base := run(1)
-	for _, shards := range []int{2, 4, 8} {
-		got := run(shards)
+	for _, procs := range []int{2, runtime.NumCPU()} {
+		got := run(procs)
 		if !reflect.DeepEqual(got.Points, base.Points) {
-			t.Errorf("Shards=%d: points diverge from Shards=1:\n got %+v\nwant %+v", shards, got.Points, base.Points)
+			t.Errorf("GOMAXPROCS=%d: points diverge from GOMAXPROCS=1:\n got %+v\nwant %+v", procs, got.Points, base.Points)
 		}
 		if !reflect.DeepEqual(got.Run, base.Run) {
-			t.Errorf("Shards=%d: run stats diverge from Shards=1", shards)
+			t.Errorf("GOMAXPROCS=%d: run stats diverge from GOMAXPROCS=1", procs)
 		}
 	}
 }

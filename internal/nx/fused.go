@@ -35,6 +35,12 @@ package nx
 //     adaptivePendLimit). Rendezvous resolve in dependency order
 //     through the completion cascade (fusedCascade), so host-side parks
 //     collapse from one per collective edge to roughly one per chain.
+//   - Batched posting. A deferred post does not take the engine lock: it
+//     joins a per-process queue, and the queue is filed under one lock
+//     hold when the member next settles (fusedRendezvous, flush). The
+//     invariant is that a member never parks with a non-empty queue —
+//     every path that can block settles, and settling flushes first — so
+//     no member ever waits on a post that will not be filed.
 //   - Pooled, wake-through-channel plumbing. Rendezvous, their scratch
 //     and their release arrays are recycled per group, so steady-state
 //     phantom collectives allocate nothing; parked settlers are woken
@@ -138,6 +144,33 @@ func DefaultCollectives() CollectiveMode {
 	return CollectiveMode(defaultCollectives.Load())
 }
 
+// DefaultShards reports how many engine shards a simulation runs on. The
+// engine is a single instance, so it is always 1; the function remains
+// because journals record the value in their identity (journal.Header
+// SimShards) and existing callers read it there.
+func DefaultShards() int { return 1 }
+
+// adaptivePendLimit sizes a member's deferred-settlement window from the
+// process count. The window bounds in-flight rendezvous per slot (memory),
+// the posts a member queues between flushes, and how much work a
+// cancelled run finishes before parking (latency), while deeper windows
+// batch more collective chains per lock hold and host park. Small runs
+// keep a modest floor so tests still exercise deferral; large runs
+// saturate at 64 — on cold E4 a 128-deep window measured ~15% slower
+// than 64 (more live rendezvous per slot than the cache likes) while 32
+// and 64 tie, so the cap sits at the shallowest depth that keeps the
+// batching win.
+func adaptivePendLimit(n int) int {
+	l := n / 4
+	if l < 16 {
+		l = 16
+	}
+	if l > 64 {
+		l = 64
+	}
+	return l
+}
+
 // fusedKind identifies which collective algorithm a rendezvous replays.
 type fusedKind int8
 
@@ -194,8 +227,9 @@ func (k fusedKind) tags() int {
 }
 
 // fusedEntry is one member's contribution to a rendezvous: what it is
-// running, where its clock and RecvWait accumulator stand, and its
-// payload.
+// running and where its clock and RecvWait accumulator stand. Payload
+// contributions live beside the entries (rendezvous.pls/ops), because
+// only data collectives carry them.
 //
 // An entry is either concrete (prev == nil: clock and recvWait hold the
 // member's state at entry) or symbolic (prev != nil: the member entered
@@ -212,8 +246,6 @@ type fusedEntry struct {
 	count    int // fusedExchange: exchanges in the batch
 	clock    float64
 	recvWait float64
-	pl       payload
-	op       ReduceOp
 
 	prev    *rendezvous
 	prevIdx int
@@ -247,17 +279,13 @@ type traceSpan struct {
 // collective number baseSeq+i. Completed-and-settled rendezvous are
 // recycled through free, so steady-state collectives allocate nothing.
 //
-// All slot and rendezvous state is guarded by the mutex of the slot's
-// home engine shard (groupSlot.home, see shard.go): the shard homing
-// every member when the list is intra-shard, the runtime's cross engine
-// otherwise. The engine's critical sections are tens of nanoseconds, so
-// one lock acquisition per posting beats fine-grained per-slot locks —
-// with per-slot locks every symbolic entry pays a second acquisition to
-// register with its dependency and a third to resolve, which profiling
-// shows costs more than the serialization a shard-wide lock introduces.
-// Cross-engine dependencies (an entry whose prev rendezvous lives on a
-// different engine) use a hand-off protocol that never holds two engine
-// locks at once; see fusedPost, registerCrossDep and drainCross.
+// All slot and rendezvous state is guarded by the engine lock
+// (runtime.mu). The engine's critical sections are tens of nanoseconds,
+// so one lock beats fine-grained per-slot locks — with per-slot locks
+// every symbolic entry pays a second acquisition to register with its
+// dependency and a third to resolve — and batched posting (see
+// fusedRendezvous) amortizes even that one acquisition over a member's
+// whole queue of deferred posts.
 //
 // Sequencing is sound because a member's posts on a slot are numbered by
 // the slot's per-member count and program order ties those numbers
@@ -269,7 +297,6 @@ type traceSpan struct {
 // detects the resulting double entry and panics instead of corrupting
 // clocks.)
 type groupSlot struct {
-	home    *engineShard // the engine instance whose mu guards this slot
 	ring    []*rendezvous
 	baseSeq int
 	counts  []int // per-member posts so far; a post's number is its member's count
@@ -279,25 +306,29 @@ type groupSlot struct {
 
 // rendezvous collects the entries of one collective and, once complete,
 // the per-member releases. The slices and the engine's scratch are pooled
-// across the collectives of a slot. All fields are guarded by the slot's
-// home engine mutex (slot.home.mu).
+// across the collectives of a slot. All fields are guarded by the engine
+// lock (runtime.mu).
 type rendezvous struct {
 	slot       *groupSlot
 	entries    []fusedEntry
 	present    []bool // per-member entry filed; entries themselves stay dirty between uses
 	arrived    int
 	unresolved int // entries still symbolic (their prev not done)
+	// pls and ops are the members' payload contributions, allocated on
+	// the slot's first data collective and cleared on reuse; phantom
+	// rendezvous leave them nil.
+	pls []payload
+	ops []ReduceOp
 	// done and settled are atomic so the settle fast path (tail already
 	// complete) runs without the engine lock: done is written under the
-	// home lock but read lock-free, and rels are immutable once done is
-	// observed — which also lets cross-engine resolvers read a completed
-	// rendezvous' releases without touching its home lock.
+	// lock but read lock-free, and rels are immutable once done is
+	// observed.
 	done    atomic.Bool
-	retired bool // fully settled; awaiting head-order recycling (under home lock)
+	retired bool // fully settled; awaiting head-order recycling (under the engine lock)
 	settled atomic.Int32
 	rels    []fusedRelease
 	deps    []fusedDep // entries elsewhere waiting on this completion
-	waiters []*Proc    // settlers parked for this completion (under home lock)
+	waiters []*Proc    // settlers parked for this completion (under the engine lock)
 
 	// Engine scratch, sized to the group on first use.
 	arr  []float64   // per-member arrival times
@@ -312,29 +343,39 @@ type fusedDep struct {
 	idx int
 }
 
-// pendRef is one unsettled rendezvous on a member's deferred chain.
+// pendRef is one collective on a member's deferred chain. From its post
+// until the next flush it is queued (r == nil) and carries what filing
+// needs; afterwards r names the rendezvous it was filed on. The chain
+// head (pend[0]) enters at the concrete clock/recvWait captured at its
+// post; every later entry is symbolic on its predecessor, advanced by
+// deltas (the local advances recorded between the two posts).
 type pendRef struct {
-	r   *rendezvous
-	idx int
+	r      *rendezvous
+	s      *groupSlot
+	idx    int // the member's index in s.members
+	kind   fusedKind
+	root   int
+	nbytes int
+	count  int
+	deltas []float64
+
+	clock, recvWait float64
 }
 
 // slot returns (creating on first use) the rendezvous anchor for a member
-// list, keyed by its packed encoding. Slots live in the map of their home
-// engine (the homing shard, or the cross engine for lists spanning
-// shards), so two engines can serve disjoint member lists without sharing
-// a lock. members is recorded on the slot at creation (exchange callers
-// replay from it; every caller passes an identical list for a given key).
+// list, keyed by its packed encoding. members is recorded on the slot at
+// creation (exchange callers replay from it; every caller passes an
+// identical list for a given key).
 func (rt *runtime) slot(key string, members []int) *groupSlot {
-	es := rt.homeOf(members)
-	es.mu.Lock()
-	defer es.mu.Unlock()
-	if es.slots == nil {
-		es.slots = make(map[string]*groupSlot)
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if rt.slots == nil {
+		rt.slots = make(map[string]*groupSlot)
 	}
-	s := es.slots[key]
+	s := rt.slots[key]
 	if s == nil {
-		s = &groupSlot{home: es, members: members, counts: make([]int, len(members))}
-		es.slots[key] = s
+		s = &groupSlot{members: members, counts: make([]int, len(members))}
+		rt.slots[key] = s
 	}
 	return s
 }
@@ -366,7 +407,7 @@ func (g *Group) membersKey() string {
 // which carry no result) keep running with the release deferred, the
 // rest settle immediately. Every member of the group must call it with
 // the same kind, root and laziness (the public methods guarantee that);
-// pl and nbytes carry per-member contributions.
+// pl, op and nbytes carry per-member contributions.
 func (g *Group) fusedCollective(kind fusedKind, root, nbytes int, pl payload, op ReduceOp, lazy bool) payload {
 	for t := kind.tags(); t > 0; t-- {
 		g.nextTag() // keep the tag sequence aligned with the tree path
@@ -374,20 +415,31 @@ func (g *Group) fusedCollective(kind fusedKind, root, nbytes int, pl payload, op
 	if g.slot == nil {
 		g.slot = g.p.rt.slot(g.membersKey(), g.members)
 	}
-	return fusedRendezvous(g.p, g.slot, g.me, lazy, &fusedEntry{
-		kind:   kind,
-		root:   root,
-		nbytes: nbytes,
-		pl:     pl,
-		op:     op,
-	})
+	if fusedRendezvous(g.p, g.slot, g.me, kind, root, nbytes, 0, lazy) {
+		return payload{}
+	}
+	return g.p.settleWith(pl, op)
 }
 
 // fusedRendezvous is the shared member-side protocol for fused
-// collectives and fused exchanges: post the entry (symbolically when
-// earlier releases are still outstanding — the deferred-settlement fast
-// path), trigger the analytic replay when this arrival completes a
-// resolvable rendezvous, and either defer the release or settle.
+// collectives and fused exchanges. It queues the post on the member's
+// chain without touching the engine lock — symbolically when earlier
+// releases are still outstanding — and reports whether the release may
+// stay deferred; when it may not, the caller settles, which files the
+// queue.
+//
+// Batched posting is what keeps the engine lock off the hot path: a
+// member files its whole queue of deferred posts under one lock hold
+// (flush), so a chain of pendLimit phantom collectives costs one
+// acquisition instead of one each. The invariant that makes it safe is
+// that a member never parks with a non-empty queue. Every path that needs
+// a concrete clock or can block — sendRaw, recvRaw, Now, Barrier and the
+// data collectives, the window limit, the end of the body — goes through
+// settle, and settle flushes before it waits; Probe, which polls without
+// parking, flushes too. So every post is filed before its poster can wait
+// on anything, no member waits on a post that will never be filed, and
+// the deadlock watchdog still sees a member as blocked only when it
+// truly is.
 //
 // lazy must only be set for operations whose release carries no payload
 // and whose tree path the caller does not rely on for host-side memory
@@ -395,104 +447,113 @@ func (g *Group) fusedCollective(kind fusedKind, root, nbytes int, pl payload, op
 // the only synchronization it provides is virtual-time. That holds for
 // the phantom collectives and exchanges; Barrier and every data-carrying
 // operation settle before returning.
-func fusedRendezvous(p *Proc, s *groupSlot, me int, lazy bool, e *fusedEntry) payload {
-	// Tracing needs a concrete clock at every Compute/Elapse, so deferral
-	// is disabled for traced runs; they settle each operation eagerly.
-	lazy = lazy && !p.rt.traceOn
-	if len(p.pend) > 0 {
+func fusedRendezvous(p *Proc, s *groupSlot, me int, kind fusedKind, root, nbytes, count int, lazy bool) (deferred bool) {
+	if p.pend == nil {
+		// The chain never outgrows the window, so one allocation serves
+		// the whole run.
+		p.pend = make([]pendRef, 0, p.rt.pendLimit)
+	}
+	// Build the post in place: a queued post is filed before r is read,
+	// and filing reads clock/recvWait only for the chain head and deltas
+	// only after it, so stale fields need no clearing.
+	p.pend = p.pend[:len(p.pend)+1]
+	pr := &p.pend[len(p.pend)-1]
+	pr.s, pr.idx, pr.kind, pr.root, pr.nbytes, pr.count = s, me, kind, root, nbytes, count
+	if len(p.pend) == 1 {
+		pr.clock, pr.recvWait = p.clock.Now(), p.stats.RecvWait
+	} else {
 		// Symbolic entry: state = previous release ⊕ recorded local
 		// advances. recvWait is resolved from the same release; local
 		// work never touches it.
-		tail := p.pend[len(p.pend)-1]
-		e.prev = tail.r
-		e.prevIdx = tail.idx
-		e.deltas = p.deltaBuf[p.deltaLo:len(p.deltaBuf):len(p.deltaBuf)]
-	} else {
-		e.clock = p.clock.Now()
-		e.recvWait = p.stats.RecvWait
+		pr.deltas = p.deltaBuf[p.deltaLo:len(p.deltaBuf):len(p.deltaBuf)]
 	}
-	r := fusedPost(p, s, me, e)
-	p.pend = append(p.pend, pendRef{r: r, idx: me})
 	p.deltaLo = len(p.deltaBuf)
-	if lazy && len(p.pend) < p.rt.pendLimit {
-		return payload{}
-	}
-	return p.settle()
+	// Tracing needs a concrete clock at every Compute/Elapse, so deferral
+	// is disabled for traced runs; they settle each operation eagerly.
+	return lazy && !p.rt.traceOn && len(p.pend) < p.rt.pendLimit
 }
 
-// fusedPost files entry e as member me of the slot's next collective for
-// that member (the slot's per-member post count — group handles with the
-// same member list share it, so sequentially interleaved same-member
-// groups stay aligned exactly as they do on the tree path), resolves or
-// registers the entry's symbolic dependency, and runs the completion
-// cascade when this event makes a rendezvous computable.
-//
-// When the entry's prev rendezvous is homed on a different engine shard,
-// its dependency cannot be registered under this slot's lock — the engine
-// never holds two shard locks at once — so the post marks the entry
-// unresolved, drops the lock, and hands the dependency to
-// registerCrossDep; cascades likewise park deps of foreign rendezvous on
-// p.crossBuf, drained one engine at a time by drainCross.
-func fusedPost(p *Proc, s *groupSlot, me int, e *fusedEntry) *rendezvous {
-	r, prevCross := fusedPostLocked(p, s, me, e)
-	if prevCross != nil {
-		registerCrossDep(p, prevCross, r, me)
-	}
-	drainCross(p)
-	return r
-}
-
-// fusedPostLocked is fusedPost's critical section under the slot's home
-// lock. A cross-engine dependency is returned (not registered) so the
-// caller can take the other engine's lock after this one drops.
-func fusedPostLocked(p *Proc, s *groupSlot, me int, e *fusedEntry) (r *rendezvous, prevCross *rendezvous) {
-	es := s.home
-	k := len(s.members)
-	es.mu.Lock()
-	// The deferred drain doubles as the waker: completions collected by
-	// a cascade are signalled after the lock drops (and even if the
-	// replay panics, so teardown does not deadlock on the engine lock).
-	defer drainWake(es)
-	idx := s.counts[me] - s.baseSeq
-	s.counts[me]++
-	for idx >= len(s.ring) {
-		s.ring = append(s.ring, s.takeFree(k))
-	}
-	r = s.ring[idx]
-	if len(r.entries) != k || r.present[me] {
-		panic(fmt.Sprintf("nx: rank %d: overlapping fused collectives on one member list "+
-			"(distinct same-member groups used concurrently?)", p.rank)) // defer unlocks
-	}
-	r.entries[me] = *e
-	r.present[me] = true
-	r.arrived++
-	if e.prev != nil {
-		switch {
-		case e.prev.done.Load():
-			// rels are immutable once done is observed, so resolving here
-			// is safe even when prev is homed elsewhere.
-			resolveEntry(r, me)
-		case e.prev.slot.home == es:
-			r.unresolved++
-			e.prev.deps = append(e.prev.deps, fusedDep{r: r, idx: me})
-		default:
-			r.unresolved++
-			prevCross = e.prev
+// fileQueued files the queued posts p.pend[p.filed:], in order. Each
+// becomes member idx's entry in its slot's next collective for that
+// member (the slot's per-member post count — group handles with the same
+// member list share it, so sequentially interleaved same-member groups
+// stay aligned exactly as they do on the tree path); its symbolic
+// dependency is resolved or registered, and the completion cascade runs
+// when the entry makes a rendezvous computable. pl and op are the last
+// post's payload contribution (data collectives settle at once, so theirs
+// is always the last post). Caller holds the engine lock.
+func (p *Proc) fileQueued(pl payload, op ReduceOp) {
+	for i := p.filed; i < len(p.pend); i++ {
+		pr := &p.pend[i]
+		s, me := pr.s, pr.idx
+		k := len(s.members)
+		idx := s.counts[me] - s.baseSeq
+		s.counts[me]++
+		for idx >= len(s.ring) {
+			s.ring = append(s.ring, s.takeFree(k))
+		}
+		r := s.ring[idx]
+		if r.present[me] {
+			panic(fmt.Sprintf("nx: rank %d: overlapping fused collectives on one member list "+
+				"(distinct same-member groups used concurrently?)", p.rank))
+		}
+		r.present[me] = true
+		r.arrived++
+		pr.r = r
+		e := &r.entries[me]
+		e.kind, e.root, e.nbytes, e.count = pr.kind, pr.root, pr.nbytes, pr.count
+		if i == 0 {
+			e.clock, e.recvWait, e.prev, e.deltas = pr.clock, pr.recvWait, nil, nil
+		} else {
+			prev := &p.pend[i-1]
+			e.prev, e.prevIdx, e.deltas = prev.r, prev.idx, pr.deltas
+			if prev.r.done.Load() {
+				resolveEntry(r, me)
+			} else {
+				r.unresolved++
+				prev.r.deps = append(prev.r.deps, fusedDep{r: r, idx: me})
+			}
+		}
+		if i == len(p.pend)-1 && (pl.data != nil || pl.floats != nil || op != nil) {
+			if r.pls == nil {
+				r.pls, r.ops = make([]payload, k), make([]ReduceOp, k)
+			}
+			r.pls[me], r.ops[me] = pl, op
+		}
+		if r.arrived == k && r.unresolved == 0 {
+			fusedCascade(p, r)
 		}
 	}
-	if r.arrived == k && r.unresolved == 0 {
-		fusedCascade(p, es, r)
-	}
-	return r, prevCross
+	p.filed = len(p.pend)
 }
 
-// drainWake unlocks es after moving its pending wake list aside, then
-// signals the wakeups outside the lock, so a completion waking many
+// flush files this member's queued posts under one engine-lock hold and,
+// when wait is set and the tail rendezvous is not yet complete, registers
+// the member for its completion wakeup in the same hold. It reports
+// whether the member registered and must park.
+func (p *Proc) flush(pl payload, op ReduceOp, wait bool) (registered bool) {
+	rt := p.rt
+	rt.mu.Lock()
+	// The deferred drain doubles as the waker: completions collected by
+	// a cascade are signalled after the lock drops (and even if a replay
+	// panics, so teardown does not deadlock on the engine lock).
+	defer drainWake(rt)
+	p.fileQueued(pl, op)
+	tail := p.pend[len(p.pend)-1].r
+	if !wait || tail.done.Load() {
+		return false
+	}
+	tail.waiters = append(tail.waiters, p)
+	return true
+}
+
+// drainWake unlocks the engine after moving its pending wake list aside,
+// then signals the wakeups outside the lock, so a completion waking many
 // members cannot convoy on the engine lock.
-func drainWake(es *engineShard) {
-	toWake := es.wake
-	es.wake = nil
-	es.mu.Unlock()
+func drainWake(rt *runtime) {
+	toWake := rt.wake
+	rt.wake = nil
+	rt.mu.Unlock()
 	for _, wp := range toWake {
 		select {
 		case wp.wakeCh <- struct{}{}:
@@ -501,51 +562,10 @@ func drainWake(es *engineShard) {
 	}
 }
 
-// registerCrossDep registers rendezvous r's entry idx (already counted
-// unresolved under r's home lock) with its prev on a different engine.
-// The registration races prev's completion; prev's home lock arbitrates:
-// either the dep lands on prev.deps before prev completes (the completing
-// cascade resolves it), or prev is already done and this poster resolves
-// it itself via the cross buffer. Exactly one side ever owns the dep.
-func registerCrossDep(p *Proc, prev, r *rendezvous, idx int) {
-	ph := prev.slot.home
-	ph.mu.Lock()
-	if !prev.done.Load() {
-		prev.deps = append(prev.deps, fusedDep{r: r, idx: idx})
-		ph.mu.Unlock()
-		return
-	}
-	ph.mu.Unlock()
-	p.crossBuf = append(p.crossBuf, fusedDep{r: r, idx: idx})
-}
-
-// drainCross resolves the cross-engine dependencies parked on p.crossBuf:
-// each dep's prev is done (rels immutable), so the resolution needs only
-// the dep's own home lock. Cascades run while that lock is held and may
-// park further cross deps on the buffer; the loop takes one engine lock
-// at a time, so shards never deadlock on lock order.
-func drainCross(p *Proc) {
-	for len(p.crossBuf) > 0 {
-		n := len(p.crossBuf)
-		d := p.crossBuf[n-1]
-		p.crossBuf = p.crossBuf[:n-1]
-		func() {
-			es := d.r.slot.home
-			es.mu.Lock()
-			defer drainWake(es)
-			resolveEntry(d.r, d.idx)
-			d.r.unresolved--
-			if d.r.arrived == len(d.r.entries) && d.r.unresolved == 0 {
-				fusedCascade(p, es, d.r)
-			}
-		}()
-	}
-}
-
 // takeFree returns a recycled (or fresh) rendezvous sized for k members.
 // Entries are left dirty — every member overwrites its own before the
-// rendezvous can compute — only the presence bits are cleared. Caller
-// holds the slot's home engine lock.
+// rendezvous can compute — only the presence bits and payloads are
+// cleared. Caller holds the engine lock.
 func (s *groupSlot) takeFree(k int) *rendezvous {
 	var r *rendezvous
 	if n := len(s.free); n > 0 {
@@ -563,8 +583,10 @@ func (s *groupSlot) takeFree(k int) *rendezvous {
 	r.entries = r.entries[:k]
 	r.present = r.present[:k]
 	r.rels = r.rels[:k]
-	for i := range r.present {
-		r.present[i] = false
+	clear(r.present)
+	if r.pls != nil {
+		clear(r.pls)
+		clear(r.ops)
 	}
 	r.arrived, r.unresolved = 0, 0
 	r.settled.Store(0)
@@ -577,8 +599,7 @@ func (s *groupSlot) takeFree(k int) *rendezvous {
 
 // resolveEntry makes a symbolic entry concrete from its (completed)
 // dependency: the exact advance sequence the member recorded, replayed on
-// the release clock. Caller holds r's home engine lock; prev's releases
-// are readable lock-free because prev is done.
+// the release clock. Caller holds the engine lock.
 func resolveEntry(r *rendezvous, i int) {
 	e := &r.entries[i]
 	base := &e.prev.rels[e.prevIdx]
@@ -592,16 +613,14 @@ func resolveEntry(r *rendezvous, i int) {
 	e.deltas = nil
 }
 
-// fusedCascade replays a computable rendezvous homed on es and cascades:
-// completing one rendezvous resolves symbolic entries registered on it,
-// which can make further rendezvous computable. The worklist keeps the
-// cascade iterative; the whole cascade runs under es.mu (the replays are
-// pure arithmetic on state the lock already guards). Dependencies of
-// rendezvous homed on other engines cannot be touched under this lock;
-// they are parked on p.crossBuf for drainCross to resolve after es.mu
-// drops.
-func fusedCascade(p *Proc, es *engineShard, r *rendezvous) {
-	work := es.cascade[:0]
+// fusedCascade replays a computable rendezvous and cascades: completing
+// one rendezvous resolves symbolic entries registered on it, which can
+// make further rendezvous computable. The worklist keeps the cascade
+// iterative; the whole cascade runs under the engine lock (the replays
+// are pure arithmetic on state the lock already guards).
+func fusedCascade(p *Proc, r *rendezvous) {
+	rt := p.rt
+	work := rt.cascade[:0]
 	work = append(work, r)
 	for len(work) > 0 {
 		r := work[len(work)-1]
@@ -609,14 +628,10 @@ func fusedCascade(p *Proc, es *engineShard, r *rendezvous) {
 		fusedCompute(p, r)
 		r.done.Store(true)
 		if len(r.waiters) > 0 {
-			es.wake = append(es.wake, r.waiters...)
+			rt.wake = append(rt.wake, r.waiters...)
 			r.waiters = r.waiters[:0]
 		}
 		for _, d := range r.deps {
-			if d.r.slot.home != es {
-				p.crossBuf = append(p.crossBuf, d)
-				continue
-			}
 			resolveEntry(d.r, d.idx)
 			d.r.unresolved--
 			if d.r.arrived == len(d.r.entries) && d.r.unresolved == 0 {
@@ -625,45 +640,41 @@ func fusedCascade(p *Proc, es *engineShard, r *rendezvous) {
 		}
 		r.deps = r.deps[:0]
 	}
-	es.cascade = work
+	rt.cascade = work
 }
 
-// settle applies this member's outstanding releases: park until the tail
-// rendezvous completes (every earlier one completes first — each member's
-// chain is resolved in order), then fold the releases into the clock and
-// stats exactly as the eager path would, replay any trailing local
-// advances, and recycle fully settled rendezvous. It returns the tail
-// release's payload for callers that need a result.
+// settle applies this member's outstanding releases; see settleWith.
 func (p *Proc) settle() payload {
+	return p.settleWith(payload{}, nil)
+}
+
+// settleWith files the queued posts (the last one contributing pl and
+// op), parks until the tail rendezvous completes (every earlier one
+// completes first — each member's chain is resolved in order), then
+// folds the releases into the clock and stats exactly as the eager path
+// would, replays any trailing local advances, and recycles fully settled
+// rendezvous. It returns the tail release's payload for callers that
+// need a result.
+func (p *Proc) settleWith(pl payload, op ReduceOp) payload {
 	if len(p.pend) == 0 {
 		return payload{}
 	}
 	rt := p.rt
-	tail := p.pend[len(p.pend)-1]
-	if !tail.r.done.Load() {
-		// Register for the completion wakeup, then park on the private
-		// channel — woken settlers never touch the engine lock, so a
-		// completion waking many members cannot convoy on it. A stale
-		// token from an earlier wakeup just spins the loop once.
-		h := tail.r.slot.home
-		h.mu.Lock()
-		registered := !tail.r.done.Load()
-		if registered {
-			tail.r.waiters = append(tail.r.waiters, p)
+	if (p.filed < len(p.pend) || !p.pend[len(p.pend)-1].r.done.Load()) && p.flush(pl, op, true) {
+		// Park on the private channel — woken settlers never touch the
+		// engine lock, so a completion waking many members cannot convoy
+		// on it. A stale token from an earlier wakeup just spins the loop
+		// once. The blocked flag keeps the deadlock watchdog honest: a
+		// member parked here counts as blocked exactly like one parked in
+		// a receive (see runtime.counters and waiters).
+		tail := p.pend[len(p.pend)-1].r
+		p.mbox.blocked.Store(blockedFused)
+		for !tail.done.Load() && !rt.slotsAborted.Load() {
+			<-p.wakeCh
 		}
-		h.mu.Unlock()
-		if registered {
-			// The blocked flag keeps the deadlock watchdog honest: a
-			// member parked here counts as blocked exactly like one
-			// parked in a receive (see runtime.counters and waiters).
-			p.mbox.blocked.Store(blockedFused)
-			for !tail.r.done.Load() && !rt.slotsAborted.Load() {
-				<-p.wakeCh
-			}
-			p.mbox.blocked.Store(0)
-			if !tail.r.done.Load() {
-				panic(deadlockSignal{})
-			}
+		p.mbox.blocked.Store(0)
+		if !tail.done.Load() {
+			panic(deadlockSignal{})
 		}
 	}
 
@@ -672,7 +683,8 @@ func (p *Proc) settle() payload {
 	// resolves in order), rels are immutable once done, and nothing can
 	// be recycled before this member's settled marks below.
 	var bytes, msgs int64
-	for _, pr := range p.pend {
+	for i := range p.pend {
+		pr := &p.pend[i]
 		rel := &pr.r.rels[pr.idx]
 		bytes += rel.bytes
 		msgs += rel.msgs
@@ -680,33 +692,30 @@ func (p *Proc) settle() payload {
 			p.tview.Add(sp.phase, sp.start, sp.end)
 		}
 	}
+	tail := &p.pend[len(p.pend)-1]
 	last := &tail.r.rels[tail.idx]
 	out := last.pl
 	clock, recvWait := last.clock, last.recvWait
 
-	// Retire the chain. Only a rendezvous' final settler takes its home
+	// Retire the chain. Only a rendezvous' final settler takes the engine
 	// lock; recycling is head-driven per slot, so it is indifferent to
-	// which final mark reaches the lock first. A chain can span engines
-	// (intra-shard and cross-shard collectives interleaved), so the lock
-	// switches per home — one at a time, never two held together.
-	var locked *engineShard
-	for _, pr := range p.pend {
+	// which final mark reaches the lock first.
+	locked := false
+	for i := range p.pend {
+		r := p.pend[i].r
 		// Read the member count before the settled mark: the mark
 		// releases this member's claim on the rendezvous, after which a
 		// final settler elsewhere may recycle it.
-		k := int32(len(pr.r.entries))
-		if pr.r.settled.Add(1) != k {
+		k := int32(len(r.entries))
+		if r.settled.Add(1) != k {
 			continue
 		}
-		if h := pr.r.slot.home; locked != h {
-			if locked != nil {
-				locked.mu.Unlock()
-			}
-			h.mu.Lock()
-			locked = h
+		if !locked {
+			rt.mu.Lock()
+			locked = true
 		}
-		pr.r.retired = true
-		s := pr.r.slot
+		r.retired = true
+		s := r.slot
 		for len(s.ring) > 0 && s.ring[0].retired {
 			head := s.ring[0]
 			s.ring = s.ring[1:]
@@ -714,8 +723,8 @@ func (p *Proc) settle() payload {
 			s.free = append(s.free, head)
 		}
 	}
-	if locked != nil {
-		locked.mu.Unlock()
+	if locked {
+		rt.mu.Unlock()
 	}
 
 	p.clock.MergeAtLeast(clock)
@@ -734,6 +743,7 @@ func (p *Proc) settle() payload {
 		p.clock.Advance(d)
 	}
 	p.pend = p.pend[:0]
+	p.filed = 0
 	p.deltaBuf = p.deltaBuf[:0]
 	p.deltaLo = 0
 	return out
@@ -893,7 +903,18 @@ func (f *fusedSim) barrier() {
 // member. Every member's release carries the root's payload — the same
 // object the tree path forwards by reference.
 func (f *fusedSim) bcast(root int) {
-	f.bcastPayload(root, f.r.entries[root].pl)
+	pl := f.payload(root)
+	pl.bytes = f.r.entries[root].nbytes
+	f.bcastPayload(root, pl)
+}
+
+// payload returns member i's payload contribution (zero for phantom
+// rendezvous, which never allocate one).
+func (f *fusedSim) payload(i int) payload {
+	if f.r.pls == nil {
+		return payload{}
+	}
+	return f.r.pls[i]
 }
 
 // bcastPayload is bcast for an explicit payload (the allreduce replay
@@ -969,7 +990,7 @@ func (f *fusedSim) reduce(root int, floats bool) {
 		accs = scratchFloats(&f.r.flt, n)
 		sent = scratchFloats(&f.r.sent, n)
 		for i := range accs {
-			accs[i] = f.r.entries[i].pl.floats
+			accs[i] = f.payload(i).floats
 		}
 	}
 	for v := n - 1; v >= 0; v-- {
@@ -996,7 +1017,7 @@ func (f *fusedSim) reduce(root int, floats bool) {
 					if len(in) != len(accs[i]) {
 						panic(fmt.Sprintf("nx: reduce length mismatch: %d vs %d", len(in), len(accs[i])))
 					}
-					f.r.entries[i].op(accs[i], in)
+					f.r.ops[i](accs[i], in)
 				}
 			}
 			mask <<= 1
@@ -1030,20 +1051,20 @@ func (f *fusedSim) gather(root int) {
 	arr := f.scratchArr()
 	for i := 0; i < n; i++ {
 		if i != root {
-			arr[i] = f.send(i, root, 8*len(f.r.entries[i].pl.floats))
+			arr[i] = f.send(i, root, 8*len(f.payload(i).floats))
 		}
 	}
-	total := len(f.r.entries[root].pl.floats)
+	total := len(f.payload(root).floats)
 	for i := 0; i < n; i++ {
 		if i == root {
 			continue
 		}
 		f.recv(root, arr[i])
-		total += len(f.r.entries[i].pl.floats)
+		total += len(f.payload(i).floats)
 	}
 	out := make([]float64, 0, total)
 	for i := 0; i < n; i++ {
-		out = append(out, f.r.entries[i].pl.floats...)
+		out = append(out, f.payload(i).floats...)
 	}
 	f.r.rels[root].pl = payload{floats: out}
 }

@@ -39,23 +39,6 @@ func runBoth(t *testing.T, model machine.Model, procs int, make func(mode Collec
 	return tree, fused
 }
 
-// assertResultsEqual demands bitwise equality of everything a Result
-// carries.
-func assertResultsEqual(t *testing.T, tree, fused *Result) {
-	t.Helper()
-	if tree.Makespan != fused.Makespan {
-		t.Fatalf("makespan: tree %v fused %v (diff %g)", tree.Makespan, fused.Makespan, fused.Makespan-tree.Makespan)
-	}
-	if tree.TotalFlops != fused.TotalFlops || tree.TotalBytes != fused.TotalBytes || tree.TotalMsgs != fused.TotalMsgs {
-		t.Fatalf("totals: tree %+v fused %+v", tree, fused)
-	}
-	for i := range tree.Procs {
-		if tree.Procs[i] != fused.Procs[i] {
-			t.Fatalf("proc %d stats:\n tree  %+v\n fused %+v", i, tree.Procs[i], fused.Procs[i])
-		}
-	}
-}
-
 // randMembers draws a random-size, randomly-ordered subset of ranks that
 // includes every rank (collectives need all members to enter), or a
 // random subset when sub is true — in which case non-members do disjoint
@@ -185,7 +168,7 @@ func TestFusedDifferentialRandomPrograms(t *testing.T) {
 			}
 
 			tree, fused := runBoth(t, model, procs, body)
-			assertResultsEqual(t, tree, fused)
+			assertSameResult(t, tree, fused, "fused vs tree")
 			for r := 0; r < procs; r++ {
 				if !reflect.DeepEqual(exits[CollectivesTree][r], exits[CollectivesFused][r]) {
 					t.Fatalf("proc %d exit clocks diverge:\n tree  %v\n fused %v",
@@ -300,7 +283,7 @@ func TestFusedSameMemberGroupsSequential(t *testing.T) {
 		}
 		return res
 	}
-	assertResultsEqual(t, run(CollectivesTree), run(CollectivesFused))
+	assertSameResult(t, run(CollectivesTree), run(CollectivesFused), "fused vs tree")
 }
 
 // TestFusedDeadlockDetected: a member that never enters the collective
@@ -360,5 +343,5 @@ func TestFusedGroupStatsMatchSingleProc(t *testing.T) {
 		}
 		return res
 	}
-	assertResultsEqual(t, run(CollectivesTree), run(CollectivesFused))
+	assertSameResult(t, run(CollectivesTree), run(CollectivesFused), "fused vs tree")
 }

@@ -22,23 +22,25 @@ type Proc struct {
 	fused bool // run-wide collective mode (see Config.Collectives)
 
 	// Deferred-settlement state (fused mode; owner-goroutine only except
-	// where noted). pend is the chain of rendezvous whose releases this
-	// process has not yet applied; while it is non-empty the clock is
-	// stale and local advances accumulate in deltaBuf (deltaBuf[deltaLo:]
-	// are the advances since the last entry was posted). deltaBuf entries
-	// up to deltaLo are read by resolvers on other goroutines; the owner
-	// only appends, and resets only after every reader is done (settle).
+	// where noted). pend is the chain of collectives whose releases this
+	// process has not yet applied; pend[:filed] are filed on their
+	// rendezvous, pend[filed:] are queued for the next flush (see
+	// fusedRendezvous). While pend is non-empty the clock is stale and
+	// local advances accumulate in deltaBuf (deltaBuf[deltaLo:] are the
+	// advances since the last entry was posted). deltaBuf entries up to
+	// deltaLo are read by resolvers on other goroutines once filed; the
+	// owner only appends, and resets only after every reader is done
+	// (settle).
 	pend     []pendRef
+	filed    int
 	deltaBuf []float64
 	deltaLo  int
 	// wakeCh is this process's private settle wakeup (capacity 1): fused
 	// completions and run teardown signal it, so woken settlers never
 	// re-acquire the engine lock.
 	wakeCh chan struct{}
-	// crossBuf is this goroutine's scratch of cross-engine dependencies
-	// awaiting resolution (see drainCross); exchSlots caches per-peer
-	// exchange rendezvous anchors (see ExchangeBatchPhantom).
-	crossBuf  []fusedDep
+	// exchSlots caches per-peer exchange rendezvous anchors (see
+	// ExchangeBatchPhantom).
 	exchSlots map[int]*groupSlot
 
 	// Hot-path caches derived from model at construction. Method calls on
@@ -271,11 +273,9 @@ func (p *Proc) ExchangeBatchPhantom(peer int, tag Tag, nbytes, count int) {
 	if p.rank > s.members[0] {
 		me = 1
 	}
-	fusedRendezvous(p, s, me, true, &fusedEntry{
-		kind:   fusedExchange,
-		nbytes: nbytes,
-		count:  count,
-	})
+	if !fusedRendezvous(p, s, me, fusedExchange, 0, nbytes, count, true) {
+		p.settle()
+	}
 }
 
 // recvRaw is the common receive path: block for a match, then merge the
@@ -321,7 +321,13 @@ func (p *Proc) RecvFloats(src int, tag Tag) []float64 {
 }
 
 // Probe reports whether a message matching (src, tag) is already queued.
+// It files any queued collective posts first (without waiting on them):
+// a process polling Probe never parks, so it must not keep peers waiting
+// on a post it has not filed.
 func (p *Proc) Probe(src int, tag Tag) bool {
+	if p.filed < len(p.pend) {
+		p.flush(payload{}, nil, false)
+	}
 	return p.mbox.probe(src, tag)
 }
 
