@@ -4,12 +4,12 @@ package analysis
 // execution are trusted because every workload result is a pure function
 // of (workload, params, kernel version): that is what the byte-identity
 // CI gates compare and what the result cache and remote fleet replay.
-// Three things quietly break that purity and all of them have bitten
-// similar codebases: wall clocks, the process-global rand source, and
-// map iteration order leaking into rendered output.
+// Four things quietly break that purity: wall clocks, the process-global
+// rand source, map iteration order leaking into rendered output, and
+// wildcard receives, which match in host arrival order.
 //
-// Scope: the wall-clock and rand checks run only in deterministic
-// packages (the simulation engine, kernels and harness — see
+// Scope: the wall-clock, rand and wildcard checks run only in
+// deterministic packages (the simulation engine, kernels and harness — see
 // deterministicPkgs — or any package marked //hpcc:deterministic). The
 // map-iteration checks run module-wide: ordered output is a contract
 // everywhere, from the CLI's tables to the wire protocol.
@@ -24,7 +24,7 @@ import (
 // Determinism is the hpccdet analyzer.
 var Determinism = &Analyzer{
 	Name: "hpccdet",
-	Doc:  "flag wall clocks, global rand, and map-iteration order reaching results in deterministic packages",
+	Doc:  "flag wall clocks, global rand, wildcard receives, and map-iteration order reaching results in deterministic packages",
 	Run:  runDeterminism,
 }
 
@@ -74,6 +74,10 @@ func runDeterminism(pass *Pass) error {
 					checkWallClock(pass, n)
 					checkGlobalRand(pass, n)
 				}
+			case *ast.Ident:
+				if det {
+					checkWildcardRecv(pass, n)
+				}
 			case *ast.RangeStmt:
 				checkMapRange(pass, f, n)
 			}
@@ -115,6 +119,29 @@ func checkGlobalRand(pass *Pass, call *ast.CallExpr) {
 	}
 	pass.Reportf(call.Pos(), "global math/rand source (rand.%s) in deterministic package %s: use rand.New(rand.NewSource(seed)) so runs replay bit-identically",
 		obj.Name(), pass.Pkg.Path())
+}
+
+// nxPkg is the message-passing runtime, the one package that may use its
+// own receive wildcards (Probe polling and its tests).
+const nxPkg = "repro/internal/nx"
+
+// checkWildcardRecv flags nx.AnySrc and nx.AnyTag outside the runtime. A
+// wildcard receive takes whichever candidate message the host delivered
+// first, so when candidates race the virtual times differ between runs
+// (see nx.Proc.Recv); only exact (src, tag) receives are deterministic.
+func checkWildcardRecv(pass *Pass, id *ast.Ident) {
+	if pass.Pkg.Path() == nxPkg {
+		return
+	}
+	obj, ok := pass.TypesInfo.Uses[id].(*types.Const)
+	if !ok || obj.Pkg() == nil || obj.Pkg().Path() != nxPkg {
+		return
+	}
+	switch obj.Name() {
+	case "AnySrc", "AnyTag":
+		pass.Reportf(id.Pos(), "wildcard nx.%s in deterministic package %s: wildcard receives match in host arrival order; name the exact source and tag",
+			obj.Name(), pass.Pkg.Path())
+	}
 }
 
 // checkMapRange flags range-over-map bodies whose effects depend on

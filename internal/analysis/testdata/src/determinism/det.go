@@ -10,6 +10,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"repro/internal/nx"
 )
 
 // Clock violations: wall time in a deterministic package.
@@ -31,6 +33,14 @@ func draws() int {
 
 func shuffleGlobal(n int) {
 	rand.Shuffle(n, func(i, j int) {}) // want `global math/rand source`
+}
+
+// Wildcard receives match in host arrival order.
+func receives(p *nx.Proc) {
+	p.Recv(nx.AnySrc, 3) // want `wildcard nx\.AnySrc`
+	p.Recv(1, nx.AnyTag) // want `wildcard nx\.AnyTag`
+	_ = p.Probe(1, 3)
+	p.RecvAll([]nx.RecvSpec{{Src: 1, Tag: 3}}, nil) // exact specs: fine
 }
 
 // Map-iteration order leaking into results.

@@ -171,6 +171,23 @@ func SolveDistributed(cfg Config) (*Outcome, error) {
 		up, down := rank-1, rank+1
 		rowBytes := 8 * n
 
+		// The halo receives, in the order consecutive Recv calls would
+		// take them, and the offset in buf where each row lands. In
+		// phantom mode got stays nil and nothing is landed.
+		var specs []nx.RecvSpec
+		var lands []int
+		if down < p {
+			specs = append(specs, nx.RecvSpec{Src: down, Tag: tagUp})
+			lands = append(lands, (rows+1)*n)
+		}
+		if up >= 0 {
+			specs = append(specs, nx.RecvSpec{Src: up, Tag: tagDown})
+			lands = append(lands, 0)
+		}
+		var got []nx.Msg
+		if !cfg.Phantom {
+			got = make([]nx.Msg, len(specs))
+		}
 		// exchange fills the halo rows of buf (layout: halo, rows, halo)
 		exchange := func(buf []float64) {
 			if up >= 0 {
@@ -187,17 +204,9 @@ func SolveDistributed(cfg Config) (*Outcome, error) {
 					proc.SendFloats(down, tagDown, buf[rows*n:(rows+1)*n])
 				}
 			}
-			if down < p {
-				m := proc.Recv(down, tagUp)
-				if !cfg.Phantom {
-					copy(buf[(rows+1)*n:(rows+2)*n], m.Floats)
-				}
-			}
-			if up >= 0 {
-				m := proc.Recv(up, tagDown)
-				if !cfg.Phantom {
-					copy(buf[0:n], m.Floats)
-				}
+			proc.RecvAll(specs, got)
+			for i, m := range got {
+				copy(buf[lands[i]:lands[i]+n], m.Floats)
 			}
 		}
 		// allreduceSum reduces one scalar with the charged vector cost.

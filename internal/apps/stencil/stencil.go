@@ -129,6 +129,23 @@ func RunDistributed(cfg Config) (*Outcome, error) {
 		}
 
 		up, down := rank-1, rank+1
+		// The halo receives, in the order consecutive Recv calls would
+		// take them, and the cell of cur where each row lands. In phantom
+		// mode got stays nil and nothing is landed.
+		var specs []nx.RecvSpec
+		var lands []int
+		if down < p {
+			specs = append(specs, nx.RecvSpec{Src: down, Tag: tagUp})
+			lands = append(lands, (myRows+1)*w)
+		}
+		if up >= 0 {
+			specs = append(specs, nx.RecvSpec{Src: up, Tag: tagDown})
+			lands = append(lands, 0)
+		}
+		var got []nx.Msg
+		if !cfg.Phantom {
+			got = make([]nx.Msg, len(specs))
+		}
 		for it := 0; it < cfg.Iters; it++ {
 			// halo exchange: first interior row up, last interior row down
 			if up >= 0 {
@@ -145,17 +162,9 @@ func RunDistributed(cfg Config) (*Outcome, error) {
 					proc.SendFloats(down, tagDown, cur[myRows*w:(myRows+1)*w])
 				}
 			}
-			if down < p {
-				m := proc.Recv(down, tagUp)
-				if !cfg.Phantom {
-					copy(cur[(myRows+1)*w:(myRows+2)*w], m.Floats)
-				}
-			}
-			if up >= 0 {
-				m := proc.Recv(up, tagDown)
-				if !cfg.Phantom {
-					copy(cur[0:w], m.Floats)
-				}
+			proc.RecvAll(specs, got)
+			for i, m := range got {
+				copy(cur[lands[i]:lands[i]+w], m.Floats)
 			}
 			// sweep: 4 flops per interior cell
 			proc.Compute(machine.OpVector, 4*float64(myRows)*float64(cfg.NX))

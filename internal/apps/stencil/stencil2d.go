@@ -82,6 +82,33 @@ func RunDistributed2D(cfg Config2D) (*Outcome, error) {
 
 		colBuf := make([]float64, myRows)
 
+		// The halo receives, in the order consecutive Recv calls would
+		// take them, and where each lands in cur: its first cell and the
+		// stride between cells (1 along a row, w down a column). In
+		// phantom mode got stays nil and nothing is landed.
+		var specs []nx.RecvSpec
+		var lands [][2]int
+		recvHalo := func(src int, tag nx.Tag, at, stride int) {
+			specs = append(specs, nx.RecvSpec{Src: src, Tag: tag})
+			lands = append(lands, [2]int{at, stride})
+		}
+		if down < cfg.PR {
+			recvHalo(neighbor(down, pc), tag2Up, (myRows+1)*w+1, 1)
+		}
+		if up >= 0 {
+			recvHalo(neighbor(up, pc), tag2Down, 1, 1)
+		}
+		if right < cfg.PC {
+			recvHalo(neighbor(pr, right), tag2Left, w+myCols+1, w)
+		}
+		if left >= 0 {
+			recvHalo(neighbor(pr, left), tag2Right, w, w)
+		}
+		var got []nx.Msg
+		if !cfg.Phantom {
+			got = make([]nx.Msg, len(specs))
+		}
+
 		for it := 0; it < cfg.Iters; it++ {
 			// vertical halos (rows)
 			if up >= 0 {
@@ -119,32 +146,11 @@ func RunDistributed2D(cfg Config2D) (*Outcome, error) {
 					proc.SendFloats(neighbor(pr, right), tag2Right, colBuf)
 				}
 			}
-			if down < cfg.PR {
-				m := proc.Recv(neighbor(down, pc), tag2Up)
-				if !cfg.Phantom {
-					copy(cur[(myRows+1)*w+1:(myRows+1)*w+1+myCols], m.Floats)
-				}
-			}
-			if up >= 0 {
-				m := proc.Recv(neighbor(up, pc), tag2Down)
-				if !cfg.Phantom {
-					copy(cur[1:1+myCols], m.Floats)
-				}
-			}
-			if right < cfg.PC {
-				m := proc.Recv(neighbor(pr, right), tag2Left)
-				if !cfg.Phantom {
-					for y := 0; y < myRows; y++ {
-						cur[(y+1)*w+myCols+1] = m.Floats[y]
-					}
-				}
-			}
-			if left >= 0 {
-				m := proc.Recv(neighbor(pr, left), tag2Right)
-				if !cfg.Phantom {
-					for y := 0; y < myRows; y++ {
-						cur[(y+1)*w] = m.Floats[y]
-					}
+			proc.RecvAll(specs, got)
+			for i, m := range got {
+				at, stride := lands[i][0], lands[i][1]
+				for j, v := range m.Floats {
+					cur[at+j*stride] = v
 				}
 			}
 			proc.Compute(machine.OpVector, 4*float64(myRows)*float64(myCols))

@@ -67,7 +67,7 @@ func (p *paramFlags) Set(s string) error {
 	return nil
 }
 
-func cmdReport(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+func cmdReport(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("hpcc report", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	quick := fs.Bool("quick", false, "scale down the expensive experiments")
@@ -88,6 +88,8 @@ func cmdReport(ctx context.Context, args []string, stdout, stderr io.Writer) err
 	bf.register(fs)
 	var jf journalFlags
 	jf.register(fs)
+	var pf profileFlags
+	pf.register(fs)
 	var df drainFlags
 	df.register(fs)
 	if err := fs.Parse(args); err != nil {
@@ -102,6 +104,10 @@ func cmdReport(ctx context.Context, args []string, stdout, stderr io.Writer) err
 	if err := xf.apply(); err != nil {
 		return err
 	}
+	if err := pf.start(); err != nil {
+		return err
+	}
+	defer pf.stop(&err)
 	resultCache, err := cf.open()
 	if err != nil {
 		return err
@@ -298,7 +304,7 @@ func cmdList(_ context.Context, args []string, stdout, stderr io.Writer) error {
 	return err
 }
 
-func cmdRun(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+func cmdRun(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("hpcc run", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	quick := fs.Bool("quick", false, "scaled-down smoke configuration")
@@ -316,6 +322,8 @@ func cmdRun(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	bf.register(fs)
 	var jf journalFlags
 	jf.register(fs)
+	var pf profileFlags
+	pf.register(fs)
 	// Accept both "run <id> [flags]" and "run [flags] <id>".
 	id, rest := splitLeadingID(args)
 	if err := fs.Parse(rest); err != nil {
@@ -330,6 +338,10 @@ func cmdRun(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	if err := xf.apply(); err != nil {
 		return err
 	}
+	if err := pf.start(); err != nil {
+		return err
+	}
+	defer pf.stop(&err)
 	resultCache, err := cf.open()
 	if err != nil {
 		return err
@@ -359,7 +371,7 @@ func cmdRun(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	return sf.persist(ctx, []store.Entry{{Params: params, Result: res}}, stderr)
 }
 
-func cmdSweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+func cmdSweep(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("hpcc sweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	ids := fs.String("ids", "", "comma-separated workload IDs (default: every registered workload)")
@@ -385,6 +397,8 @@ func cmdSweep(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	bf.register(fs)
 	var jf journalFlags
 	jf.register(fs)
+	var pf profileFlags
+	pf.register(fs)
 	var df drainFlags
 	df.register(fs)
 	// Accept both "sweep <id> [flags]" and "sweep [flags] <id>".
@@ -401,6 +415,10 @@ func cmdSweep(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	if err := xf.apply(); err != nil {
 		return err
 	}
+	if err := pf.start(); err != nil {
+		return err
+	}
+	defer pf.stop(&err)
 	resultCache, err := cf.open()
 	if err != nil {
 		return err

@@ -38,7 +38,7 @@ func (g *Group) RingAllreduceFloats(xs []float64, op ReduceOp) []float64 {
 		recvC := (g.me - s - 1 + 2*n) % n
 		out := chunk(sendC)
 		g.p.sendRaw(next, tag, nil, append([]float64(nil), out...), 8*len(out))
-		in := g.p.recvRaw(prev, tag).Floats
+		in := g.p.recvRaw(prev, tag).payload().floats
 		dst := chunk(recvC)
 		if len(in) != len(dst) {
 			panic(fmt.Sprintf("nx: ring allreduce chunk mismatch: %d vs %d", len(in), len(dst)))
@@ -51,7 +51,7 @@ func (g *Group) RingAllreduceFloats(xs []float64, op ReduceOp) []float64 {
 		recvC := (g.me - s + 2*n) % n
 		out := chunk(sendC)
 		g.p.sendRaw(next, tag, nil, append([]float64(nil), out...), 8*len(out))
-		in := g.p.recvRaw(prev, tag).Floats
+		in := g.p.recvRaw(prev, tag).payload().floats
 		copy(chunk(recvC), in)
 	}
 	return acc
@@ -102,7 +102,7 @@ func (g *Group) ScatterFloats(root int, xs []float64) []float64 {
 		}
 		return append([]float64(nil), xs[root*chunk:(root+1)*chunk]...)
 	}
-	return g.p.recvRaw(g.global(root), tag).Floats
+	return g.p.recvRaw(g.global(root), tag).payload().floats
 }
 
 // ScanFloats computes the inclusive prefix reduction: member i returns
@@ -117,7 +117,7 @@ func (g *Group) ScanFloats(xs []float64, op ReduceOp) []float64 {
 	}
 	tag := g.nextTag()
 	if g.me > 0 {
-		in := g.p.recvRaw(g.global(g.me-1), tag).Floats
+		in := g.p.recvRaw(g.global(g.me-1), tag).payload().floats
 		if len(in) != len(acc) {
 			panic(fmt.Sprintf("nx: scan length mismatch: %d vs %d", len(in), len(acc)))
 		}

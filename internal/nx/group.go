@@ -36,10 +36,6 @@ func (pl payload) send(p *Proc, dst int, tag Tag) {
 	p.sendRaw(dst, tag, pl.data, pl.floats, pl.bytes)
 }
 
-func payloadOf(m Msg) payload {
-	return payload{data: m.Data, floats: m.Floats, bytes: m.Bytes}
-}
-
 // Group creates a collective group from an ordered member list. The calling
 // process must be a member; members must be valid, distinct ranks.
 func (p *Proc) Group(members []int) *Group {
@@ -143,7 +139,7 @@ func (g *Group) bcast(root int, pl payload, phantom bool) payload {
 	for mask < n {
 		if vrank&mask != 0 {
 			src := g.global(((vrank - mask) + root) % n)
-			pl = payloadOf(g.p.recvRaw(src, tag))
+			pl = g.p.recvRaw(src, tag).payload()
 			break
 		}
 		mask <<= 1
@@ -270,7 +266,7 @@ func (g *Group) ReduceFloats(root int, xs []float64, op ReduceOp) []float64 {
 		}
 		if vrank+mask < n {
 			src := g.global(((vrank + mask) + root) % n)
-			in := g.p.recvRaw(src, tag).Floats
+			in := g.p.recvRaw(src, tag).payload().floats
 			if len(in) != len(acc) {
 				panic(fmt.Sprintf("nx: reduce length mismatch: %d vs %d", len(in), len(acc)))
 			}
@@ -383,7 +379,7 @@ func (g *Group) GatherFloats(root int, xs []float64) []float64 {
 		if i == root {
 			continue
 		}
-		in := g.p.recvRaw(g.global(i), tag).Floats
+		in := g.p.recvRaw(g.global(i), tag).payload().floats
 		parts[i] = in
 		total += len(in)
 	}

@@ -2,6 +2,7 @@ package nx
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -18,20 +19,64 @@ type Msg struct {
 	ArriveAt float64 // virtual arrival time at the receiver
 }
 
+// envelope is a queued message as the mailbox ring stores it: 32 bytes
+// against Msg's 80, so queueing, matching and dequeuing a phantom message
+// copies well under half as much. The public Msg is built only for callers
+// that take one (Recv, Wait, RecvFloats, RecvAll with an out slice). src
+// and tag fit in int32: ranks are mesh nodes, and collective tags stay
+// below TagUserMax + 2^27 (see Proc.Group).
+type envelope struct {
+	src, tag int32
+	nbytes   int
+	arrive   float64
+	pl       *payload // nil for phantom messages
+}
+
+// matches reports whether a receive for (src, tag), either of which may
+// be a wildcard, accepts the message.
+func (e *envelope) matches(src int, tag Tag) bool {
+	return (src == AnySrc || int(e.src) == src) && (tag == AnyTag || Tag(e.tag) == tag)
+}
+
+// msg builds the public view of the message.
+func (e envelope) msg() Msg {
+	m := Msg{Src: int(e.src), Tag: Tag(e.tag), Bytes: e.nbytes, ArriveAt: e.arrive}
+	if e.pl != nil {
+		m.Data, m.Floats = e.pl.data, e.pl.floats
+	}
+	return m
+}
+
+// payload returns the message as a collective payload.
+func (e envelope) payload() payload {
+	if e.pl != nil {
+		return *e.pl
+	}
+	return payload{bytes: e.nbytes}
+}
+
+// RecvSpec names one exact-source receive of Proc.RecvAll.
+type RecvSpec struct {
+	Src int
+	Tag Tag
+}
+
 // mailbox is the per-process receive queue with MPI-style (src, tag)
-// matching. put may be called from any goroutine; get only from the owner.
+// matching. put may be called from any goroutine; get and getAll only
+// from the owner.
 //
-// Pending messages live in a pooled ring buffer: slots are reused across
-// the run, so the phantom-mode hot path (millions of payload-free
-// collective messages at Delta scale) performs no steady-state allocation
-// per message. The ring preserves arrival order, which is what makes
-// wildcard matching and per-sender FIFO behave exactly as the old
-// append/delete slice did.
+// Pending messages live in a pooled ring buffer of envelopes: slots are
+// reused across the run, so the phantom-mode hot path (millions of
+// payload-free messages at Delta scale) performs no steady-state
+// allocation per message. The ring preserves arrival order, which is what
+// makes wildcard matching and per-sender FIFO behave exactly as the old
+// append/delete slice did. Its length is a power of two (it grows by
+// doubling from 8), so slots are indexed with a mask.
 type mailbox struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	// buf is the ring: count messages starting at head, oldest first.
-	buf     []Msg
+	buf     []envelope
 	head    int
 	count   int
 	aborted bool
@@ -43,6 +88,13 @@ type mailbox struct {
 	waiting bool
 	wantSrc int
 	wantTag Tag
+	// all is non-nil while the owner is in getAll: its specs, with
+	// allGot marking those a queued message already covers and
+	// allMissing counting the rest. put then claims arrivals against the
+	// specs and wakes the owner only when the last one is covered.
+	all        []RecvSpec
+	allGot     []bool
+	allMissing int
 
 	// Watchdog counters, sharded per process so the hot path never
 	// contends on a shared cache line. sent counts messages sent *by*
@@ -56,7 +108,7 @@ type mailbox struct {
 
 // blocked states (mailbox.blocked).
 const (
-	blockedRecv  = 1 // parked in mailbox.get
+	blockedRecv  = 1 // parked in mailbox.get or getAll
 	blockedFused = 2 // parked in a fused-collective rendezvous
 )
 
@@ -65,29 +117,30 @@ func (m *mailbox) init() {
 }
 
 // put appends one message to the ring, constructing it in place in the
-// ring slot — the pooled scratch that keeps the phantom hot path at one
-// struct store per delivery, no intermediate Msg value.
+// ring slot.
 //
 // The wakeup is match-aware: a parked owner is signalled only when the
-// arriving message satisfies the (src, tag) it is blocked on. Eager
-// sending means messages for *future* receives routinely land while the
-// owner waits on an earlier one; waking it to rescan and re-park for each
-// of those is pure scheduler churn. A non-matching message just joins the
-// ring — the owner's next full scan (on the matching wakeup, or on its
-// next get) finds it there.
-func (m *mailbox) put(src int, tag Tag, data []byte, floats []float64, nbytes int, arriveAt float64) {
+// arriving message satisfies the (src, tag) it is blocked on, or, in
+// getAll, covers the last spec still missing. Eager sending means
+// messages for *future* receives routinely land while the owner waits on
+// an earlier one; waking it to rescan and re-park for each of those is
+// pure scheduler churn. A non-matching message just joins the ring — the
+// owner's next full scan (on the matching wakeup, or on its next get)
+// finds it there.
+func (m *mailbox) put(src int, tag Tag, pl *payload, nbytes int, arriveAt float64) {
 	m.mu.Lock()
 	if m.count == len(m.buf) {
 		m.grow()
 	}
-	m.buf[(m.head+m.count)%len(m.buf)] = Msg{
-		Src: src, Tag: tag, Data: data, Floats: floats,
-		Bytes: nbytes, ArriveAt: arriveAt,
-	}
+	e := &m.buf[(m.head+m.count)&(len(m.buf)-1)]
+	*e = envelope{src: int32(src), tag: int32(tag), nbytes: nbytes, arrive: arriveAt, pl: pl}
 	m.count++
-	wake := m.waiting &&
-		(m.wantSrc == AnySrc || src == m.wantSrc) &&
-		(m.wantTag == AnyTag || tag == m.wantTag)
+	var wake bool
+	if m.all != nil {
+		wake = m.claim(e) && m.allMissing == 0
+	} else {
+		wake = m.waiting && e.matches(m.wantSrc, m.wantTag)
+	}
 	m.mu.Unlock()
 	if wake {
 		m.cond.Signal()
@@ -101,31 +154,40 @@ func (m *mailbox) grow() {
 	if n < 8 {
 		n = 8
 	}
-	nb := make([]Msg, n)
+	nb := make([]envelope, n)
 	for i := 0; i < m.count; i++ {
-		nb[i] = m.buf[(m.head+i)%len(m.buf)]
+		nb[i] = m.buf[(m.head+i)&(len(m.buf)-1)]
 	}
 	m.buf = nb
 	m.head = 0
 }
 
+// find returns the position (0 = oldest) of the first pending message a
+// receive for (src, tag) accepts, or -1.
+func (m *mailbox) find(src int, tag Tag) int {
+	mask := len(m.buf) - 1
+	for i := 0; i < m.count; i++ {
+		if m.buf[(m.head+i)&mask].matches(src, tag) {
+			return i
+		}
+	}
+	return -1
+}
+
 // get blocks until a message matching (src, tag) is available and removes
 // it from the queue. Matching scans pending messages in arrival order, so
 // messages from a given source are received in the order they were sent.
-func (m *mailbox) get(src int, tag Tag) Msg {
+func (m *mailbox) get(src int, tag Tag) envelope {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	for {
 		if m.aborted {
+			m.mu.Unlock()
 			panic(deadlockSignal{})
 		}
-		for i := 0; i < m.count; i++ {
-			msg := &m.buf[(m.head+i)%len(m.buf)]
-			if (src == AnySrc || msg.Src == src) && (tag == AnyTag || msg.Tag == tag) {
-				out := *msg
-				m.remove(i)
-				return out
-			}
+		if i := m.find(src, tag); i >= 0 {
+			e := m.remove(i)
+			m.mu.Unlock()
+			return e
 		}
 		m.waiting, m.wantSrc, m.wantTag = true, src, tag
 		m.blocked.Store(blockedRecv)
@@ -135,31 +197,75 @@ func (m *mailbox) get(src int, tag Tag) Msg {
 	}
 }
 
-// remove deletes the i-th pending message (0 = oldest), preserving the
-// order of the rest. The common case — matching the oldest message — is a
-// head advance; otherwise the messages older than i shift up by one slot.
-// The vacated slot is zeroed so the ring does not pin payload slices.
-func (m *mailbox) remove(i int) {
-	n := len(m.buf)
-	for j := i; j > 0; j-- {
-		m.buf[(m.head+j)%n] = m.buf[(m.head+j-1)%n]
+// getAll blocks until every spec has a queued match — a spec listed k
+// times needs k matches — then removes one match per spec, in spec order,
+// into dst. Each removal takes the oldest match, so the result is what
+// consecutive gets would return; unlike them, getAll parks at most once.
+func (m *mailbox) getAll(specs []RecvSpec, dst []envelope) {
+	m.mu.Lock()
+	if cap(m.allGot) < len(specs) {
+		m.allGot = make([]bool, len(specs))
 	}
-	m.buf[m.head] = Msg{}
-	m.head = (m.head + 1) % n
+	m.all, m.allGot, m.allMissing = specs, m.allGot[:len(specs)], len(specs)
+	clear(m.allGot)
+	mask := len(m.buf) - 1
+	for i := 0; i < m.count && m.allMissing > 0; i++ {
+		m.claim(&m.buf[(m.head+i)&mask])
+	}
+	if m.allMissing > 0 {
+		m.blocked.Store(blockedRecv)
+		for m.allMissing > 0 && !m.aborted {
+			m.cond.Wait()
+		}
+		m.blocked.Store(0)
+	}
+	m.all = nil
+	if m.aborted {
+		m.mu.Unlock()
+		panic(deadlockSignal{})
+	}
+	for i, s := range specs {
+		dst[i] = m.remove(m.find(s.Src, s.Tag))
+	}
+	m.mu.Unlock()
+}
+
+// claim marks the first spec of the in-progress getAll that e satisfies
+// and no other queued message already covers. It reports whether there
+// was one.
+func (m *mailbox) claim(e *envelope) bool {
+	for i, s := range m.all {
+		if !m.allGot[i] && int(e.src) == s.Src && Tag(e.tag) == s.Tag {
+			m.allGot[i] = true
+			m.allMissing--
+			return true
+		}
+	}
+	return false
+}
+
+// remove deletes and returns the i-th pending message (0 = oldest),
+// preserving the order of the rest. The common case — matching the oldest
+// message — is a head advance; otherwise the messages older than i shift
+// up by one slot. The vacated slot is zeroed so the ring does not pin
+// payloads.
+func (m *mailbox) remove(i int) envelope {
+	mask := len(m.buf) - 1
+	e := m.buf[(m.head+i)&mask]
+	for j := i; j > 0; j-- {
+		m.buf[(m.head+j)&mask] = m.buf[(m.head+j-1)&mask]
+	}
+	m.buf[m.head] = envelope{}
+	m.head = (m.head + 1) & mask
 	m.count--
+	return e
 }
 
 // probe reports whether a matching message is available without removing it.
 func (m *mailbox) probe(src int, tag Tag) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for i := 0; i < m.count; i++ {
-		msg := &m.buf[(m.head+i)%len(m.buf)]
-		if (src == AnySrc || msg.Src == src) && (tag == AnyTag || msg.Tag == tag) {
-			return true
-		}
-	}
-	return false
+	return m.find(src, tag) >= 0
 }
 
 // abort wakes every waiter with a teardown signal and poisons the mailbox.
@@ -170,10 +276,21 @@ func (m *mailbox) abort() {
 	m.cond.Broadcast()
 }
 
-// waitingFor describes the blocked receive, if any, for diagnostics.
+// waitingFor describes the blocked receive, if any, for diagnostics. A
+// parked getAll lists the specs no queued message covers yet.
 func (m *mailbox) waitingFor() string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.all != nil {
+		var missing []string
+		for i, s := range m.all {
+			if !m.allGot[i] {
+				missing = append(missing, fmt.Sprintf("(src=%d, tag=%d)", s.Src, int(s.Tag)))
+			}
+		}
+		return fmt.Sprintf("RecvAll of %d messages, missing %s, with %d pending",
+			len(m.all), strings.Join(missing, ", "), m.count)
+	}
 	if !m.waiting {
 		return ""
 	}

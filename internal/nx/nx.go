@@ -18,6 +18,13 @@
 // programs cannot deadlock on buffer exhaustion; rendezvous cost appears in
 // virtual time only. A watchdog detects true receive-cycle deadlocks and
 // fails the run with a diagnostic instead of hanging the test suite.
+//
+// Proc.RecvAll is the halo-exchange receive: it takes one message per
+// exact (source, tag) spec, in spec order, with the same completion
+// order and virtual-time arithmetic as consecutive Recv calls, but parks
+// the host goroutine at most once, until every spec has a queued match.
+// Wildcards are refused there, since their match depends on host
+// arrival order.
 package nx
 
 import (

@@ -42,6 +42,8 @@ type Proc struct {
 	// exchSlots caches per-peer exchange rendezvous anchors (see
 	// ExchangeBatchPhantom).
 	exchSlots map[int]*groupSlot
+	// recvBuf is RecvAll's reusable landing buffer.
+	recvBuf []envelope
 
 	// Hot-path caches derived from model at construction. Method calls on
 	// machine.Model copy the whole struct (~100 bytes) per call, which at
@@ -189,7 +191,11 @@ func (p *Proc) sendRaw(dst int, tag Tag, data []byte, floats []float64, nbytes i
 	p.clock.Advance(p.model.Net.SendOverhead + float64(nbytes)*p.model.Net.ByteTime)
 	arrive := p.clock.Now() + p.model.Net.Latency +
 		float64(p.hops(dst))*p.model.Net.PerHop
-	p.rt.procs[dst].mbox.put(p.rank, tag, data, floats, nbytes, arrive)
+	var pl *payload
+	if data != nil || floats != nil {
+		pl = &payload{data: data, floats: floats, bytes: nbytes}
+	}
+	p.rt.procs[dst].mbox.put(p.rank, tag, pl, nbytes, arrive)
 	// The delivery count feeds the deadlock watchdog's quiescence check;
 	// it is sharded onto the sender's own mailbox to keep the hot path
 	// off any shared cache line.
@@ -278,24 +284,38 @@ func (p *Proc) ExchangeBatchPhantom(peer int, tag Tag, nbytes, count int) {
 	}
 }
 
-// recvRaw is the common receive path: block for a match, then merge the
-// arrival time and charge the receive overhead.
-func (p *Proc) recvRaw(src int, tag Tag) Msg {
-	if src != AnySrc && (src < 0 || src >= p.size) {
+// checkSrc panics unless src is a valid rank (or, if wildcardOK, AnySrc).
+func (p *Proc) checkSrc(src int, wildcardOK bool) {
+	if wildcardOK && src == AnySrc {
+		return
+	}
+	if src < 0 || src >= p.size {
 		panic(fmt.Sprintf("nx: rank %d receiving from invalid rank %d", p.rank, src))
 	}
+}
+
+// recvRaw is the common receive path: block for a match, then land it.
+func (p *Proc) recvRaw(src int, tag Tag) envelope {
+	p.checkSrc(src, true)
 	if len(p.pend) > 0 {
 		p.settle() // merging the arrival needs the concrete clock
 	}
+	e := p.mbox.get(src, tag)
+	p.land(&e)
+	return e
+}
+
+// land merges a matched message's arrival time into the clock and
+// charges the receive overhead, as one receive that began at the current
+// clock.
+func (p *Proc) land(e *envelope) {
 	start := p.clock.Now()
-	msg := p.mbox.get(src, tag)
-	if msg.ArriveAt > p.clock.Now() {
-		p.stats.RecvWait += msg.ArriveAt - p.clock.Now()
-		p.clock.MergeAtLeast(msg.ArriveAt)
+	if e.arrive > start {
+		p.stats.RecvWait += e.arrive - start
+		p.clock.MergeAtLeast(e.arrive)
 	}
 	p.clock.Advance(p.model.Net.RecvOverhead)
 	p.tview.Add(trace.PhaseRecvWait, start, p.clock.Now())
-	return msg
 }
 
 // Recv blocks until a message matching (src, tag) arrives (crecv). src may
@@ -306,7 +326,53 @@ func (p *Proc) recvRaw(src int, tag Tag) Msg {
 // multiple candidates race.
 func (p *Proc) Recv(src int, tag Tag) Msg {
 	p.checkTag(tag, true)
-	return p.recvRaw(src, tag)
+	return p.recvRaw(src, tag).msg()
+}
+
+// RecvAll receives one message per spec, in spec order, exactly as
+// consecutive Recv(spec.Src, spec.Tag) calls would: the same matches and
+// bit-identical virtual times, stats and trace spans. Unlike those calls
+// it parks the host at most once, until every spec has a queued match,
+// which makes a halo exchange one host wakeup instead of one per
+// neighbour. A spec listed k times takes k messages. Specs must name
+// exact sources and tags; a wildcard panics, because its match would
+// depend on host arrival order.
+//
+// If out is non-nil it must hold at least len(specs) messages, and out[i]
+// receives the message specs[i] matched. A nil out discards the messages,
+// which is how phantom exchanges receive without building a Msg.
+func (p *Proc) RecvAll(specs []RecvSpec, out []Msg) {
+	if out != nil && len(out) < len(specs) {
+		panic(fmt.Sprintf("nx: rank %d: RecvAll out holds %d messages for %d specs", p.rank, len(out), len(specs)))
+	}
+	for _, s := range specs {
+		if s.Src == AnySrc || s.Tag == AnyTag {
+			panic(fmt.Sprintf("nx: rank %d: RecvAll needs exact sources and tags, got (src=%d, tag=%d)",
+				p.rank, s.Src, int(s.Tag)))
+		}
+		p.checkSrc(s.Src, false)
+		p.checkTag(s.Tag, false)
+	}
+	if len(specs) == 0 {
+		return
+	}
+	if len(p.pend) > 0 {
+		// Merging the arrivals needs the concrete clock, and a member
+		// never parks with queued posts (see fusedRendezvous).
+		p.settle()
+	}
+	if cap(p.recvBuf) < len(specs) {
+		p.recvBuf = make([]envelope, len(specs))
+	}
+	envs := p.recvBuf[:len(specs)]
+	p.mbox.getAll(specs, envs)
+	for i := range envs {
+		p.land(&envs[i])
+		if out != nil {
+			out[i] = envs[i].msg()
+		}
+		envs[i] = envelope{} // do not pin payloads
+	}
 }
 
 // RecvFloats receives a message sent with SendFloats and returns its payload.
@@ -347,9 +413,7 @@ type Request struct {
 // time, exactly as overlap did on the real machine.
 func (p *Proc) IRecv(src int, tag Tag) *Request {
 	p.checkTag(tag, true)
-	if src != AnySrc && (src < 0 || src >= p.size) {
-		panic(fmt.Sprintf("nx: rank %d posting irecv from invalid rank %d", p.rank, src))
-	}
+	p.checkSrc(src, true)
 	return &Request{p: p, src: src, tag: tag}
 }
 
@@ -360,7 +424,7 @@ func (r *Request) Wait() Msg {
 		panic("nx: Wait on a completed Request")
 	}
 	r.done = true
-	return r.p.recvRaw(r.src, r.tag)
+	return r.p.recvRaw(r.src, r.tag).msg()
 }
 
 // PingPong measures the modelled one-way time for an n-byte message between
