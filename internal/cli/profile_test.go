@@ -42,3 +42,27 @@ func TestProfileFlagsWriteProfilesAndKeepOutput(t *testing.T) {
 		t.Fatalf("unwritable -cpuprofile: exit %d, stderr %q", code, errOut)
 	}
 }
+
+// TestRunStatsSideChannel: run -stats prints the engine counters to
+// stderr and leaves stdout, text or JSON, byte-identical.
+func TestRunStatsSideChannel(t *testing.T) {
+	for _, args := range [][]string{
+		{"run", "E4", "-quick"},
+		{"run", "E4", "-quick", "-json"},
+	} {
+		plain, _, code := run(t, args...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d", args, code)
+		}
+		withStats, errOut, code := run(t, append(args, "-stats")...)
+		if code != 0 {
+			t.Fatalf("%v -stats: exit %d: %s", args, code, errOut)
+		}
+		if withStats != plain {
+			t.Fatalf("%v: output changed under -stats", args)
+		}
+		if !strings.Contains(errOut, "engine: fused-posts=") || strings.Contains(errOut, "fused-posts=0 ") {
+			t.Fatalf("%v -stats: stderr %q lacks nonzero engine counters", args, errOut)
+		}
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/nx"
 	"repro/internal/report"
 	"repro/internal/store"
 )
@@ -310,6 +311,7 @@ func cmdRun(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 	quick := fs.Bool("quick", false, "scaled-down smoke configuration")
 	seed := fs.Int64("seed", 0, "seed for randomized workloads (0 = workload default)")
 	jsonOut := fs.Bool("json", false, "emit the structured result as JSON")
+	engineStats := fs.Bool("stats", false, "print this process's simulation engine counters (fused posts, lock holds, parks, rendezvous) to stderr at the end")
 	var overrides paramFlags
 	fs.Var(&overrides, "p", "workload parameter override name=value (repeatable)")
 	var sf storeFlags
@@ -361,7 +363,13 @@ func cmdRun(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 		return err
 	}
 	params := harness.Params{Quick: *quick, Seed: *seed, Values: overrides.vals}
+	before := nx.ReadEngineStats()
 	res, err := runSingle(ctx, &jf, resultCache, w, params, *jsonOut, stderr)
+	if *engineStats {
+		// Host-side diagnostics only: never part of the result, the
+		// cache key or the journal. A cache hit runs no simulation.
+		fmt.Fprintf(stderr, "engine: %v\n", nx.ReadEngineStats().Sub(before))
+	}
 	if err != nil {
 		return bf.explain(err)
 	}

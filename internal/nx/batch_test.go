@@ -26,8 +26,9 @@ import (
 // final ProcStats, Makespan and trace spans.
 
 // batchWindows are the deferred-settlement windows (pendLimit) the suite
-// sweeps: no batching, shallow, the adaptive floor, the adaptive cap.
-var batchWindows = []int{1, 4, 16, 64}
+// sweeps: no batching, shallow, the adaptive floor, the adaptive cap, and
+// the deeper former cap.
+var batchWindows = []int{1, 4, 16, 32, 64}
 
 // hostProcs returns the GOMAXPROCS settings the suite sweeps: one core,
 // two, and every core of the host.

@@ -22,7 +22,7 @@ package nx
 // gates the equivalence with a differential test (fused_test.go) and a
 // full-report byte-identity cmp step.
 //
-// Two further mechanisms make the engine fast rather than merely
+// Four further mechanisms make the engine fast rather than merely
 // message-free:
 //
 //   - Deferred settlement. A phantom collective returns no data, so a
@@ -41,11 +41,19 @@ package nx
 //     invariant is that a member never parks with a non-empty queue —
 //     every path that can block settles, and settling flushes first — so
 //     no member ever waits on a post that will not be filed.
-//   - Pooled, wake-through-channel plumbing. Rendezvous, their scratch
-//     and their release arrays are recycled per group, so steady-state
-//     phantom collectives allocate nothing; parked settlers are woken
-//     through per-process channels after the engine lock drops, so a
-//     completion waking many members cannot convoy on the lock.
+//   - A data-oriented layout. At Delta scale the replay is bound by
+//     memory latency, not arithmetic, so each (rendezvous, member) pair
+//     is one fusedCell holding the entry, the filed stamp, the link to
+//     the member's next entry and, in place of the entry once replayed,
+//     the release: filing, resolving and settling a member touch one
+//     record. Payloads, reduce ops and trace spans live in a side struct
+//     that phantom rendezvous never allocate, and the replay's scratch
+//     is one buffer per engine rather than one per rendezvous.
+//   - Pooled, wake-through-channel plumbing. Rendezvous and their cells
+//     are recycled per group, so steady-state phantom collectives
+//     allocate nothing; parked settlers are woken through per-process
+//     channels after the engine lock drops, so a completion waking many
+//     members cannot convoy on the lock.
 //
 // One semantic difference from the tree path: a fused collective is a
 // full-group rendezvous in host time — no member's release exists until
@@ -156,17 +164,18 @@ func DefaultShards() int { return 1 }
 // cancelled run finishes before parking (latency), while deeper windows
 // batch more collective chains per lock hold and host park. Small runs
 // keep a modest floor so tests still exercise deferral; large runs
-// saturate at 64 — on cold E4 a 128-deep window measured ~15% slower
-// than 64 (more live rendezvous per slot than the cache likes) while 32
-// and 64 tie, so the cap sits at the shallowest depth that keeps the
-// batching win.
+// saturate at 32. Replay is bound by memory latency, so the cap is the
+// shallowest window that keeps the batching win: on the cell layout, cold
+// E4 at 32 beat 64 in 9 of 9 interleaved pairs (about 9% less wall time,
+// 6 MB less RSS), 16 was about 2% slower than 32, and 128 was about 6%
+// slower than 64 (more live rendezvous per slot than the cache holds).
 func adaptivePendLimit(n int) int {
 	l := n / 4
 	if l < 16 {
 		l = 16
 	}
-	if l > 64 {
-		l = 64
+	if l > 32 {
+		l = 32
 	}
 	return l
 }
@@ -226,44 +235,63 @@ func (k fusedKind) tags() int {
 	return 1
 }
 
-// fusedEntry is one member's contribution to a rendezvous: what it is
-// running and where its clock and RecvWait accumulator stand. Payload
-// contributions live beside the entries (rendezvous.pls/ops), because
-// only data collectives carry them.
+// fusedCell is one member's record in a rendezvous — its entry and, once
+// the rendezvous is done, its release — laid out so that filing,
+// resolving and settling the member touch this one record. Everything a
+// phantom collective needs lives here; payloads and trace spans live in
+// the rendezvous' side struct.
 //
-// An entry is either concrete (prev == nil: clock and recvWait hold the
-// member's state at entry) or symbolic (prev != nil: the member entered
-// while its release from a previous rendezvous was still outstanding, so
-// its entry state is prev's release for prevIdx advanced by the recorded
-// deltas — the exact Compute/Elapse charges, in order, so the resolved
-// clock is bit-identical to the eager one). Symbolic entries are what let
-// a member run ahead through phantom collectives without parking; see
-// fusedRendezvous.
-type fusedEntry struct {
-	kind     fusedKind
-	root     int
-	nbytes   int
-	count    int // fusedExchange: exchanges in the batch
+// As an entry, clock and recvWait hold where the member's clock and
+// RecvWait accumulator stand at entry. An entry is concrete when filed
+// (the head of the member's deferred chain) or symbolic: the member
+// entered while its release from its previous rendezvous was still
+// outstanding, so its entry state is that release advanced by deltas —
+// the exact Compute/Elapse charges, in order, so the resolved clock is
+// bit-identical to the eager one (resolveCell). Symbolic entries are
+// what let a member run ahead through phantom collectives without
+// parking; see fusedRendezvous.
+//
+// The replay (fusedCompute) then turns clock and recvWait into the
+// release values in place, with the same float additions in the same
+// order as the tree path, and counts the member's sent bytes and msgs.
+// Handing back the final accumulators, not recomputed deltas, is what
+// keeps the release bit-identical.
+//
+// next and nextIdx link the member's symbolic entry in a later
+// rendezvous that waits on this release (next.cells[nextIdx]). A
+// member's chain is linear, so a cell has at most one dependent; the
+// completion cascade follows the link and clears it.
+//
+// stamp marks the cell filed in its rendezvous' current generation
+// (stamp == rendezvous.gen), so a recycled rendezvous needs no clearing.
+// The int32 fields hold a member index and root below the process count
+// (Run refuses more than 2^31-1 processes), a batch length below 2^31
+// (ExchangeBatchPhantom refuses more) and a per-collective message count
+// bounded by both.
+type fusedCell struct {
 	clock    float64
 	recvWait float64
-
-	prev    *rendezvous
-	prevIdx int
-	deltas  []float64
+	bytes    int64 // release: bytes sent
+	nbytes   int
+	deltas   []float64 // symbolic entry: local advances since the previous post
+	next     *rendezvous
+	msgs     int32 // release: messages sent
+	nextIdx  int32
+	root     int32
+	count    int32 // fusedExchange: exchanges in the batch
+	stamp    uint32
+	kind     fusedKind
 }
 
-// fusedRelease is what a member receives back: its state after the
-// collective. clock and recvWait are absolute values (the engine replays
-// the member's exact sequence of float additions, so handing back the
-// final accumulator preserves bit-identity with the tree path, which a
-// recomputed delta would not). bytes and msgs are integer deltas.
-type fusedRelease struct {
-	clock    float64
-	recvWait float64
-	bytes    int64
-	msgs     int64
-	pl       payload
-	spans    []traceSpan
+// fusedSide is a rendezvous' cold data, one element per member: payload
+// contributions and reduce ops, result payloads, and trace spans. Only
+// data-carrying or traced rendezvous allocate it, so phantom replay never
+// touches it.
+type fusedSide struct {
+	pls   []payload
+	ops   []ReduceOp
+	out   []payload
+	spans [][]traceSpan
 }
 
 // traceSpan is one deferred trace record the member applies on release.
@@ -304,62 +332,54 @@ type groupSlot struct {
 	members []int // the member list the slot serves, in group order
 }
 
-// rendezvous collects the entries of one collective and, once complete,
-// the per-member releases. The slices and the engine's scratch are pooled
-// across the collectives of a slot. All fields are guarded by the engine
-// lock (runtime.mu).
+// rendezvous is one collective: a cell per member, holding the entries
+// and, once done, the releases. Rendezvous are pooled per slot with their
+// cells and side struct. All fields are guarded by the engine lock
+// (runtime.mu) except as noted.
 type rendezvous struct {
 	slot       *groupSlot
-	entries    []fusedEntry
-	present    []bool // per-member entry filed; entries themselves stay dirty between uses
+	cells      []fusedCell
+	gen        uint32 // a cell is filed this generation iff its stamp == gen
 	arrived    int
-	unresolved int // entries still symbolic (their prev not done)
-	// pls and ops are the members' payload contributions, allocated on
-	// the slot's first data collective and cleared on reuse; phantom
-	// rendezvous leave them nil.
-	pls []payload
-	ops []ReduceOp
+	unresolved int // entries still symbolic (their predecessor not done)
+	// side is allocated on the rendezvous' first data-carrying or traced
+	// use and cleared on reuse; phantom rendezvous leave it nil.
+	side *fusedSide
 	// done and settled are atomic so the settle fast path (tail already
 	// complete) runs without the engine lock: done is written under the
-	// lock but read lock-free, and rels are immutable once done is
-	// observed.
+	// lock but read lock-free, and the releases (cells and side) are
+	// immutable once done is observed.
 	done    atomic.Bool
 	retired bool // fully settled; awaiting head-order recycling (under the engine lock)
 	settled atomic.Int32
-	rels    []fusedRelease
-	deps    []fusedDep // entries elsewhere waiting on this completion
-	waiters []*Proc    // settlers parked for this completion (under the engine lock)
+	waiters []*Proc // settlers parked for this completion (under the engine lock)
+}
 
-	// Engine scratch, sized to the group on first use.
+// replayScratch is the engine's replay workspace. Every replay runs under
+// the engine lock, so one per runtime serves them all and stays cached.
+type replayScratch struct {
 	arr  []float64   // per-member arrival times
 	flt  [][]float64 // per-member float-slice scratch (reduce accumulators)
 	sent [][]float64 // reduce: the acc snapshot each member sent
 }
 
-// fusedDep records one symbolic entry (of another rendezvous) awaiting
-// this rendezvous' completion.
-type fusedDep struct {
-	r   *rendezvous
-	idx int
-}
-
 // pendRef is one collective on a member's deferred chain. From its post
-// until the next flush it is queued (r == nil) and carries what filing
-// needs; afterwards r names the rendezvous it was filed on. The chain
-// head (pend[0]) enters at the concrete clock/recvWait captured at its
-// post; every later entry is symbolic on its predecessor, advanced by
+// until the next flush it is queued (pend[filed:]) and carries what
+// filing needs; afterwards r names the rendezvous it was filed on. The
+// chain head (pend[0]) enters at the member's current clock and RecvWait,
+// which cannot move while the chain is pending (every operation that
+// would move them settles first, and local advances are recorded as
+// deltas); every later entry is symbolic on its predecessor, advanced by
 // deltas (the local advances recorded between the two posts).
 type pendRef struct {
 	r      *rendezvous
 	s      *groupSlot
-	idx    int // the member's index in s.members
-	kind   fusedKind
-	root   int
 	nbytes int
-	count  int
 	deltas []float64
-
-	clock, recvWait float64
+	idx    int32 // the member's index in s.members
+	root   int32
+	count  int32
+	kind   fusedKind
 }
 
 // slot returns (creating on first use) the rendezvous anchor for a member
@@ -409,6 +429,10 @@ func (g *Group) membersKey() string {
 // the same kind, root and laziness (the public methods guarantee that);
 // pl, op and nbytes carry per-member contributions.
 func (g *Group) fusedCollective(kind fusedKind, root, nbytes int, pl payload, op ReduceOp, lazy bool) payload {
+	if root < 0 || root >= len(g.members) {
+		// Checked here because the rendezvous cell holds root as int32.
+		panic(fmt.Sprintf("nx: %v root %d out of range [0,%d)", kind, root, len(g.members)))
+	}
 	for t := kind.tags(); t > 0; t-- {
 		g.nextTag() // keep the tag sequence aligned with the tree path
 	}
@@ -453,15 +477,16 @@ func fusedRendezvous(p *Proc, s *groupSlot, me int, kind fusedKind, root, nbytes
 		// the whole run.
 		p.pend = make([]pendRef, 0, p.rt.pendLimit)
 	}
+	p.engine.FusedPosts++
 	// Build the post in place: a queued post is filed before r is read,
-	// and filing reads clock/recvWait only for the chain head and deltas
-	// only after it, so stale fields need no clearing.
+	// and filing reads deltas only after the chain head, so stale fields
+	// need no clearing. The int32 fields hold values the callers checked
+	// (a member index and root below the process count, a batch length
+	// below 2^31).
 	p.pend = p.pend[:len(p.pend)+1]
 	pr := &p.pend[len(p.pend)-1]
-	pr.s, pr.idx, pr.kind, pr.root, pr.nbytes, pr.count = s, me, kind, root, nbytes, count
-	if len(p.pend) == 1 {
-		pr.clock, pr.recvWait = p.clock.Now(), p.stats.RecvWait
-	} else {
+	pr.s, pr.idx, pr.kind, pr.root, pr.nbytes, pr.count = s, int32(me), kind, int32(root), nbytes, int32(count)
+	if len(p.pend) > 1 {
 		// Symbolic entry: state = previous release ⊕ recorded local
 		// advances. recvWait is resolved from the same release; local
 		// work never touches it.
@@ -485,7 +510,7 @@ func fusedRendezvous(p *Proc, s *groupSlot, me int, kind fusedKind, root, nbytes
 func (p *Proc) fileQueued(pl payload, op ReduceOp) {
 	for i := p.filed; i < len(p.pend); i++ {
 		pr := &p.pend[i]
-		s, me := pr.s, pr.idx
+		s, me := pr.s, int(pr.idx)
 		k := len(s.members)
 		idx := s.counts[me] - s.baseSeq
 		s.counts[me]++
@@ -493,32 +518,31 @@ func (p *Proc) fileQueued(pl payload, op ReduceOp) {
 			s.ring = append(s.ring, s.takeFree(k))
 		}
 		r := s.ring[idx]
-		if r.present[me] {
+		c := &r.cells[me]
+		if c.stamp == r.gen {
 			panic(fmt.Sprintf("nx: rank %d: overlapping fused collectives on one member list "+
 				"(distinct same-member groups used concurrently?)", p.rank))
 		}
-		r.present[me] = true
+		c.stamp = r.gen
 		r.arrived++
 		pr.r = r
-		e := &r.entries[me]
-		e.kind, e.root, e.nbytes, e.count = pr.kind, pr.root, pr.nbytes, pr.count
+		c.kind, c.root, c.nbytes, c.count = pr.kind, pr.root, pr.nbytes, pr.count
 		if i == 0 {
-			e.clock, e.recvWait, e.prev, e.deltas = pr.clock, pr.recvWait, nil, nil
+			c.clock, c.recvWait = p.clock.Now(), p.stats.RecvWait
 		} else {
 			prev := &p.pend[i-1]
-			e.prev, e.prevIdx, e.deltas = prev.r, prev.idx, pr.deltas
+			pc := &prev.r.cells[prev.idx]
+			c.deltas = pr.deltas
 			if prev.r.done.Load() {
-				resolveEntry(r, me)
+				resolveCell(pc, c)
 			} else {
 				r.unresolved++
-				prev.r.deps = append(prev.r.deps, fusedDep{r: r, idx: me})
+				pc.next, pc.nextIdx = r, pr.idx
 			}
 		}
 		if i == len(p.pend)-1 && (pl.data != nil || pl.floats != nil || op != nil) {
-			if r.pls == nil {
-				r.pls, r.ops = make([]payload, k), make([]ReduceOp, k)
-			}
-			r.pls[me], r.ops[me] = pl, op
+			sd := r.sideFor()
+			sd.pls[me], sd.ops[me] = pl, op
 		}
 		if r.arrived == k && r.unresolved == 0 {
 			fusedCascade(p, r)
@@ -534,6 +558,7 @@ func (p *Proc) fileQueued(pl payload, op ReduceOp) {
 func (p *Proc) flush(pl payload, op ReduceOp, wait bool) (registered bool) {
 	rt := p.rt
 	rt.mu.Lock()
+	p.engine.Flushes++
 	// The deferred drain doubles as the waker: completions collected by
 	// a cascade are signalled after the lock drops (and even if a replay
 	// panics, so teardown does not deadlock on the engine lock).
@@ -563,9 +588,10 @@ func drainWake(rt *runtime) {
 }
 
 // takeFree returns a recycled (or fresh) rendezvous sized for k members.
-// Entries are left dirty — every member overwrites its own before the
-// rendezvous can compute — only the presence bits and payloads are
-// cleared. Caller holds the engine lock.
+// Cells are left dirty — every member overwrites its own before the
+// rendezvous can compute, and bumping gen unfiles them all at once — and
+// only the side struct, if any, is cleared, so no stale payload or span
+// outlives its collective. Caller holds the engine lock.
 func (s *groupSlot) takeFree(k int) *rendezvous {
 	var r *rendezvous
 	if n := len(s.free); n > 0 {
@@ -575,49 +601,62 @@ func (s *groupSlot) takeFree(k int) *rendezvous {
 	} else {
 		r = &rendezvous{slot: s}
 	}
-	if cap(r.entries) < k {
-		r.entries = make([]fusedEntry, k)
-		r.present = make([]bool, k)
-		r.rels = make([]fusedRelease, k)
+	if cap(r.cells) < k {
+		r.cells = make([]fusedCell, k)
 	}
-	r.entries = r.entries[:k]
-	r.present = r.present[:k]
-	r.rels = r.rels[:k]
-	clear(r.present)
-	if r.pls != nil {
-		clear(r.pls)
-		clear(r.ops)
+	r.cells = r.cells[:k]
+	r.gen++
+	if sd := r.side; sd != nil {
+		clear(sd.pls)
+		clear(sd.ops)
+		clear(sd.out)
+		for i := range sd.spans {
+			sd.spans[i] = sd.spans[i][:0]
+		}
 	}
 	r.arrived, r.unresolved = 0, 0
 	r.settled.Store(0)
 	r.done.Store(false)
 	r.retired = false
-	r.deps = r.deps[:0]
 	r.waiters = r.waiters[:0]
 	return r
 }
 
-// resolveEntry makes a symbolic entry concrete from its (completed)
-// dependency: the exact advance sequence the member recorded, replayed on
-// the release clock. Caller holds the engine lock.
-func resolveEntry(r *rendezvous, i int) {
-	e := &r.entries[i]
-	base := &e.prev.rels[e.prevIdx]
-	c := base.clock
-	for _, d := range e.deltas {
-		advance(&c, d)
+// sideFor returns the rendezvous' cold data, allocating it on first use.
+// Caller holds the engine lock.
+func (r *rendezvous) sideFor() *fusedSide {
+	if r.side == nil {
+		k := len(r.cells)
+		r.side = &fusedSide{
+			pls:   make([]payload, k),
+			ops:   make([]ReduceOp, k),
+			out:   make([]payload, k),
+			spans: make([][]traceSpan, k),
+		}
 	}
-	e.clock = c
-	e.recvWait = base.recvWait
-	e.prev = nil
-	e.deltas = nil
+	return r.side
+}
+
+// resolveCell makes a symbolic entry concrete from its member's release
+// in the (completed) previous rendezvous: the exact advance sequence the
+// member recorded, replayed on the release clock. Caller holds the engine
+// lock.
+func resolveCell(base, c *fusedCell) {
+	cl := base.clock
+	for _, d := range c.deltas {
+		advance(&cl, d)
+	}
+	c.clock = cl
+	c.recvWait = base.recvWait
 }
 
 // fusedCascade replays a computable rendezvous and cascades: completing
-// one rendezvous resolves symbolic entries registered on it, which can
-// make further rendezvous computable. The worklist keeps the cascade
-// iterative; the whole cascade runs under the engine lock (the replays
-// are pure arithmetic on state the lock already guards).
+// one rendezvous resolves the symbolic entries linked from its cells,
+// which can make further rendezvous computable. The links are cleared as
+// they are followed, so a recycled rendezvous starts with none. The
+// worklist keeps the cascade iterative; the whole cascade runs under the
+// engine lock (the replays are pure arithmetic on state the lock already
+// guards).
 func fusedCascade(p *Proc, r *rendezvous) {
 	rt := p.rt
 	work := rt.cascade[:0]
@@ -626,19 +665,25 @@ func fusedCascade(p *Proc, r *rendezvous) {
 		r := work[len(work)-1]
 		work = work[:len(work)-1]
 		fusedCompute(p, r)
+		p.engine.Rendezvous++
+		for i := range r.cells {
+			c := &r.cells[i]
+			d := c.next
+			if d == nil {
+				continue
+			}
+			c.next = nil
+			resolveCell(c, &d.cells[c.nextIdx])
+			d.unresolved--
+			if d.arrived == len(d.cells) && d.unresolved == 0 {
+				work = append(work, d)
+			}
+		}
 		r.done.Store(true)
 		if len(r.waiters) > 0 {
 			rt.wake = append(rt.wake, r.waiters...)
 			r.waiters = r.waiters[:0]
 		}
-		for _, d := range r.deps {
-			resolveEntry(d.r, d.idx)
-			d.r.unresolved--
-			if d.r.arrived == len(d.r.entries) && d.r.unresolved == 0 {
-				work = append(work, d.r)
-			}
-		}
-		r.deps = r.deps[:0]
 	}
 	rt.cascade = work
 }
@@ -659,8 +704,10 @@ func (p *Proc) settleWith(pl payload, op ReduceOp) payload {
 	if len(p.pend) == 0 {
 		return payload{}
 	}
+	p.engine.Settles++
 	rt := p.rt
 	if (p.filed < len(p.pend) || !p.pend[len(p.pend)-1].r.done.Load()) && p.flush(pl, op, true) {
+		p.engine.FusedParks++
 		// Park on the private channel — woken settlers never touch the
 		// engine lock, so a completion waking many members cannot convoy
 		// on it. A stale token from an earlier wakeup just spins the loop
@@ -680,21 +727,26 @@ func (p *Proc) settleWith(pl payload, op ReduceOp) payload {
 
 	// Fold the releases into this member's stats, without the engine
 	// lock: everything up to the tail is done (each member's chain
-	// resolves in order), rels are immutable once done, and nothing can
-	// be recycled before this member's settled marks below.
+	// resolves in order), releases are immutable once done, and nothing
+	// can be recycled before this member's settled marks below.
 	var bytes, msgs int64
 	for i := range p.pend {
 		pr := &p.pend[i]
-		rel := &pr.r.rels[pr.idx]
+		rel := &pr.r.cells[pr.idx]
 		bytes += rel.bytes
-		msgs += rel.msgs
-		for _, sp := range rel.spans {
-			p.tview.Add(sp.phase, sp.start, sp.end)
+		msgs += int64(rel.msgs)
+		if sd := pr.r.side; sd != nil {
+			for _, sp := range sd.spans[pr.idx] {
+				p.tview.Add(sp.phase, sp.start, sp.end)
+			}
 		}
 	}
 	tail := &p.pend[len(p.pend)-1]
-	last := &tail.r.rels[tail.idx]
-	out := last.pl
+	last := &tail.r.cells[tail.idx]
+	var out payload
+	if sd := tail.r.side; sd != nil {
+		out = sd.out[tail.idx]
+	}
 	clock, recvWait := last.clock, last.recvWait
 
 	// Retire the chain. Only a rendezvous' final settler takes the engine
@@ -706,7 +758,7 @@ func (p *Proc) settleWith(pl payload, op ReduceOp) payload {
 		// Read the member count before the settled mark: the mark
 		// releases this member's claim on the rendezvous, after which a
 		// final settler elsewhere may recycle it.
-		k := int32(len(r.entries))
+		k := int32(len(r.cells))
 		if r.settled.Add(1) != k {
 			continue
 		}
@@ -759,22 +811,23 @@ type fusedSim struct {
 
 // fusedCompute validates the entries of a full, fully resolved
 // rendezvous, replays the collective's tree in dependency order, and
-// fills r.rels with one release per member. It runs in whichever
+// turns every cell into its member's release. It runs in whichever
 // goroutine made the rendezvous computable (the last arriver, or a
 // completer cascading through symbolic entries).
 func fusedCompute(p *Proc, r *rendezvous) {
 	members := r.slot.members
-	entries := r.entries
-	kind, root := entries[0].kind, entries[0].root
-	for i := range entries {
-		e := &entries[i]
-		if e.kind != kind || e.root != root {
+	cells := r.cells
+	kind, root := cells[0].kind, int(cells[0].root)
+	for i := range cells {
+		c := &cells[i]
+		if c.kind != kind || int(c.root) != root {
 			panic(fmt.Sprintf("nx: mismatched collectives on one group: member %d (rank %d) entered %v(root %d), member 0 (rank %d) entered %v(root %d)",
-				i, members[i], e.kind, e.root, members[0], kind, root))
+				i, members[i], c.kind, c.root, members[0], kind, root))
 		}
+		c.bytes, c.msgs = 0, 0
 	}
-	for i := range entries {
-		r.rels[i] = fusedRelease{clock: entries[i].clock, recvWait: entries[i].recvWait}
+	if p.rt.traceOn {
+		r.sideFor()
 	}
 	f := &fusedSim{p: p, members: members, r: r}
 	switch kind {
@@ -795,14 +848,14 @@ func fusedCompute(p *Proc, r *rendezvous) {
 		f.bcastReduced(root)
 	case fusedAllreducePhantom:
 		f.reduce(root, false)
-		f.bcastPayload(root, payload{bytes: r.entries[root].nbytes})
+		f.bcastPayload(root, payload{bytes: cells[root].nbytes})
 	case fusedExchange:
-		a, b := &entries[0], &entries[1]
+		a, b := &cells[0], &cells[1]
 		if a.nbytes != b.nbytes || a.count != b.count {
 			panic(fmt.Sprintf("nx: mismatched exchange batch between ranks %d and %d: %d×%dB vs %d×%dB",
 				members[0], members[1], a.count, a.nbytes, b.count, b.nbytes))
 		}
-		f.exchange(a.nbytes, a.count)
+		f.exchange(a.nbytes, int(a.count))
 	default:
 		panic(fmt.Sprintf("nx: unknown fused collective kind %v", kind))
 	}
@@ -829,14 +882,15 @@ func (f *fusedSim) hops(i, j int) int {
 // are sendRaw's exactly.
 func (f *fusedSim) send(i, j, nbytes int) float64 {
 	net := &f.p.model.Net
-	r := &f.r.rels[i]
-	start := r.clock
-	advance(&r.clock, net.SendOverhead+float64(nbytes)*net.ByteTime)
-	arrive := r.clock + net.Latency + float64(f.hops(i, j))*net.PerHop
-	r.bytes += int64(nbytes)
-	r.msgs++
+	c := &f.r.cells[i]
+	start := c.clock
+	advance(&c.clock, net.SendOverhead+float64(nbytes)*net.ByteTime)
+	arrive := c.clock + net.Latency + float64(f.hops(i, j))*net.PerHop
+	c.bytes += int64(nbytes)
+	c.msgs++
 	if f.p.rt.traceOn {
-		r.spans = append(r.spans, traceSpan{trace.PhaseSend, start, r.clock})
+		sp := &f.r.side.spans[i]
+		*sp = append(*sp, traceSpan{trace.PhaseSend, start, c.clock})
 	}
 	return arrive
 }
@@ -846,25 +900,27 @@ func (f *fusedSim) send(i, j, nbytes int) float64 {
 // receive overhead.
 func (f *fusedSim) recv(j int, arrive float64) {
 	net := &f.p.model.Net
-	r := &f.r.rels[j]
-	start := r.clock
-	if arrive > r.clock {
-		r.recvWait += arrive - r.clock
-		r.clock = arrive
+	c := &f.r.cells[j]
+	start := c.clock
+	if arrive > c.clock {
+		c.recvWait += arrive - c.clock
+		c.clock = arrive
 	}
-	advance(&r.clock, net.RecvOverhead)
+	advance(&c.clock, net.RecvOverhead)
 	if f.p.rt.traceOn {
-		r.spans = append(r.spans, traceSpan{trace.PhaseRecvWait, start, r.clock})
+		sp := &f.r.side.spans[j]
+		*sp = append(*sp, traceSpan{trace.PhaseRecvWait, start, c.clock})
 	}
 }
 
-// scratchArr returns the pooled n-element arrival scratch.
+// scratchArr returns the engine's n-element arrival scratch.
 func (f *fusedSim) scratchArr() []float64 {
-	n := len(f.r.entries)
-	if cap(f.r.arr) < n {
-		f.r.arr = make([]float64, n)
+	n := len(f.r.cells)
+	sc := &f.p.rt.scratch
+	if cap(sc.arr) < n {
+		sc.arr = make([]float64, n)
 	}
-	return f.r.arr[:n]
+	return sc.arr[:n]
 }
 
 // scratchFloats returns the pooled n-element slice-of-slices scratch,
@@ -885,7 +941,7 @@ func scratchFloats(buf *[][]float64, n int) [][]float64 {
 // round are replayed before its receives, which is each member's program
 // order and satisfies the cross-member arrival dependencies.
 func (f *fusedSim) barrier() {
-	n := len(f.r.entries)
+	n := len(f.r.cells)
 	arr := f.scratchArr()
 	for k := 1; k < n; k <<= 1 {
 		for i := 0; i < n; i++ {
@@ -904,23 +960,41 @@ func (f *fusedSim) barrier() {
 // object the tree path forwards by reference.
 func (f *fusedSim) bcast(root int) {
 	pl := f.payload(root)
-	pl.bytes = f.r.entries[root].nbytes
+	pl.bytes = f.r.cells[root].nbytes
 	f.bcastPayload(root, pl)
 }
 
 // payload returns member i's payload contribution (zero for phantom
 // rendezvous, which never allocate one).
 func (f *fusedSim) payload(i int) payload {
-	if f.r.pls == nil {
+	if f.r.side == nil {
 		return payload{}
 	}
-	return f.r.pls[i]
+	return f.r.side.pls[i]
+}
+
+// op returns member i's reduce op (nil for phantom rendezvous).
+func (f *fusedSim) op(i int) ReduceOp {
+	if f.r.side == nil {
+		return nil
+	}
+	return f.r.side.ops[i]
+}
+
+// setOut records member i's result payload. A payload with neither data
+// nor floats reads back as nil either way, so it is not stored, and a
+// phantom rendezvous never allocates its side.
+func (f *fusedSim) setOut(i int, pl payload) {
+	if pl.data == nil && pl.floats == nil {
+		return
+	}
+	f.r.sideFor().out[i] = pl
 }
 
 // bcastPayload is bcast for an explicit payload (the allreduce replay
 // broadcasts the freshly reduced vector, not the root's entry payload).
 func (f *fusedSim) bcastPayload(root int, pl payload) {
-	n := len(f.r.entries)
+	n := len(f.r.cells)
 	arr := f.scratchArr()
 	for v := 0; v < n; v++ {
 		i := (v + root) % n
@@ -944,7 +1018,7 @@ func (f *fusedSim) bcastPayload(root int, pl payload) {
 				arr[dst] = f.send(i, dst, pl.bytes)
 			}
 		}
-		f.r.rels[i].pl = pl
+		f.setOut(i, pl)
 	}
 }
 
@@ -952,7 +1026,10 @@ func (f *fusedSim) bcastPayload(root int, pl payload) {
 // accumulator (exactly as BcastFloats' root copies its argument) and the
 // copy is broadcast to every member.
 func (f *fusedSim) bcastReduced(root int) {
-	red := f.r.rels[root].pl.floats
+	var red []float64
+	if f.r.side != nil {
+		red = f.r.side.out[root].floats
+	}
 	cp := append([]float64(nil), red...)
 	f.bcastPayload(root, payload{floats: cp, bytes: 8 * len(cp)})
 }
@@ -960,8 +1037,8 @@ func (f *fusedSim) bcastReduced(root int) {
 // flatBcast replays BcastFlatPhantom: the root sends to every member in
 // group order, each member receives one message.
 func (f *fusedSim) flatBcast(root int) {
-	n := len(f.r.entries)
-	nbytes := f.r.entries[root].nbytes
+	n := len(f.r.cells)
+	nbytes := f.r.cells[root].nbytes
 	arr := f.scratchArr()
 	for i := 0; i < n; i++ {
 		if i != root {
@@ -983,12 +1060,13 @@ func (f *fusedSim) flatBcast(root int) {
 // payload carries the reduced accumulator; senders' are nil, exactly as
 // the tree path returns.
 func (f *fusedSim) reduce(root int, floats bool) {
-	n := len(f.r.entries)
+	n := len(f.r.cells)
 	arr := f.scratchArr()
 	var accs, sent [][]float64
 	if floats {
-		accs = scratchFloats(&f.r.flt, n)
-		sent = scratchFloats(&f.r.sent, n)
+		sc := &f.p.rt.scratch
+		accs = scratchFloats(&sc.flt, n)
+		sent = scratchFloats(&sc.sent, n)
 		for i := range accs {
 			accs[i] = f.payload(i).floats
 		}
@@ -998,7 +1076,7 @@ func (f *fusedSim) reduce(root int, floats bool) {
 		mask := 1
 		for mask < n {
 			if v&mask != 0 {
-				nbytes := f.r.entries[i].nbytes
+				nbytes := f.r.cells[i].nbytes
 				if floats {
 					nbytes = 8 * len(accs[i])
 				}
@@ -1017,13 +1095,13 @@ func (f *fusedSim) reduce(root int, floats bool) {
 					if len(in) != len(accs[i]) {
 						panic(fmt.Sprintf("nx: reduce length mismatch: %d vs %d", len(in), len(accs[i])))
 					}
-					f.r.ops[i](accs[i], in)
+					f.op(i)(accs[i], in)
 				}
 			}
 			mask <<= 1
 		}
 		if floats {
-			f.r.rels[i].pl = payload{floats: accs[i]}
+			f.setOut(i, payload{floats: accs[i]})
 		}
 	}
 }
@@ -1047,7 +1125,7 @@ func (f *fusedSim) exchange(nbytes, count int) {
 // the root, which receives them in group order and concatenates all
 // contributions (its own in place) into one freshly built slice.
 func (f *fusedSim) gather(root int) {
-	n := len(f.r.entries)
+	n := len(f.r.cells)
 	arr := f.scratchArr()
 	for i := 0; i < n; i++ {
 		if i != root {
@@ -1066,5 +1144,5 @@ func (f *fusedSim) gather(root int) {
 	for i := 0; i < n; i++ {
 		out = append(out, f.payload(i).floats...)
 	}
-	f.r.rels[root].pl = payload{floats: out}
+	f.setOut(root, payload{floats: out})
 }

@@ -43,17 +43,20 @@ func (p *Proc) Group(members []int) *Group {
 		panic("nx: empty group")
 	}
 	me := -1
-	seen := make(map[int]bool, len(members))
+	// A bitset over the ranks: every process builds World, so a map here
+	// costs a 528-entry map per process at Delta scale.
+	seen := make([]uint64, (p.size+63)/64)
 	h := fnv.New32a()
 	var buf [4]byte
 	for i, m := range members {
 		if m < 0 || m >= p.size {
 			panic(fmt.Sprintf("nx: group member %d out of range [0,%d)", m, p.size))
 		}
-		if seen[m] {
+		word, bit := m/64, uint64(1)<<(m%64)
+		if seen[word]&bit != 0 {
 			panic(fmt.Sprintf("nx: duplicate group member %d", m))
 		}
-		seen[m] = true
+		seen[word] |= bit
 		if m == p.rank {
 			me = i
 		}

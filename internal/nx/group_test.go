@@ -1,6 +1,7 @@
 package nx
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -46,6 +47,32 @@ func TestGroupValidation(t *testing.T) {
 		var pe *PanicError
 		if !asErr(err, &pe) {
 			t.Errorf("%s: want PanicError, got %v", c.name, err)
+		}
+	}
+}
+
+// TestGroupValidationMessages pins the panic messages of Group
+// construction, past the first 64 ranks too (the duplicate check is a
+// bitset over the ranks).
+func TestGroupValidationMessages(t *testing.T) {
+	model := tiny(9, 8)
+	for _, c := range []struct {
+		members func(p *Proc) []int
+		want    string
+	}{
+		{func(p *Proc) []int { return []int{p.Rank(), 70, 70} }, "nx: duplicate group member 70"},
+		{func(p *Proc) []int { return []int{p.Rank(), 3, 3} }, "nx: duplicate group member 3"},
+		{func(p *Proc) []int { return []int{p.Rank(), 72} }, "nx: group member 72 out of range [0,72)"},
+		{func(p *Proc) []int { return []int{p.Rank(), -1} }, "nx: group member -1 out of range [0,72)"},
+	} {
+		// Every process fails the same way, whichever reports first.
+		_, err := Run(Config{Model: model}, func(p *Proc) { p.Group(c.members(p)) })
+		var pe *PanicError
+		if !asErr(err, &pe) {
+			t.Fatalf("%s: want PanicError, got %v", c.want, err)
+		}
+		if got := fmt.Sprint(pe.Value); got != c.want {
+			t.Fatalf("panic %q, want %q", got, c.want)
 		}
 	}
 }

@@ -104,6 +104,9 @@ type mailbox struct {
 	// (fused.go). The deadlock watchdog reads both across all processes.
 	sent    atomic.Uint64
 	blocked atomic.Int32
+	// parks counts the owner's waits for a message (EngineStats); it is
+	// written under mu and read after the run.
+	parks int64
 }
 
 // blocked states (mailbox.blocked).
@@ -191,6 +194,7 @@ func (m *mailbox) get(src int, tag Tag) envelope {
 		}
 		m.waiting, m.wantSrc, m.wantTag = true, src, tag
 		m.blocked.Store(blockedRecv)
+		m.parks++
 		m.cond.Wait()
 		m.blocked.Store(0)
 		m.waiting = false
@@ -215,6 +219,7 @@ func (m *mailbox) getAll(specs []RecvSpec, dst []envelope) {
 	if m.allMissing > 0 {
 		m.blocked.Store(blockedRecv)
 		for m.allMissing > 0 && !m.aborted {
+			m.parks++
 			m.cond.Wait()
 		}
 		m.blocked.Store(0)

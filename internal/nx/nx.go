@@ -31,6 +31,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -165,6 +166,11 @@ func Run(cfg Config, body func(p *Proc)) (*Result, error) {
 	if n < 1 || n > cfg.Model.Nodes() {
 		return nil, fmt.Errorf("nx: Procs=%d invalid for %d-node model", n, cfg.Model.Nodes())
 	}
+	if n > math.MaxInt32 {
+		// Mailbox envelopes and fused cells hold ranks and member
+		// indices as int32.
+		return nil, fmt.Errorf("nx: Procs=%d exceeds the int32 rank range", n)
+	}
 	quiesce := cfg.DeadlockAfter
 	if quiesce <= 0 {
 		quiesce = 2 * time.Second
@@ -274,6 +280,7 @@ func Run(cfg Config, body func(p *Proc)) (*Result, error) {
 	}
 
 	wg.Wait()
+	rt.addEngineStats()
 	close(stop)
 	watchWg.Wait()
 	close(errCh)
@@ -312,12 +319,13 @@ type runtime struct {
 
 	// The fused-collective engine (fused.go). mu guards the slot map,
 	// every slot's and rendezvous' state, the pooled cascade worklist,
-	// and the wake list drained after mu drops. slotsAborted poisons
+	// the replay scratch, and the wake list drained after mu drops. slotsAborted poisons
 	// fused waits once the run tears down. pendLimit bounds each
 	// member's deferred-settlement chain (see adaptivePendLimit).
 	mu           sync.Mutex
 	slots        map[string]*groupSlot
 	cascade      []*rendezvous
+	scratch      replayScratch
 	wake         []*Proc
 	slotsAborted atomic.Bool
 	pendLimit    int

@@ -2,6 +2,7 @@ package nx
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/machine"
 	"repro/internal/trace"
@@ -44,6 +45,10 @@ type Proc struct {
 	exchSlots map[int]*groupSlot
 	// recvBuf is RecvAll's reusable landing buffer.
 	recvBuf []envelope
+	// engine tallies this process's fused-engine work for EngineStats.
+	// Only the owner goroutine writes it (a cascade it runs counts here
+	// too), and Run reads it after every process has returned.
+	engine EngineStats
 
 	// Hot-path caches derived from model at construction. Method calls on
 	// machine.Model copy the whole struct (~100 bytes) per call, which at
@@ -242,6 +247,10 @@ func (p *Proc) ExchangeBatchPhantom(peer int, tag Tag, nbytes, count int) {
 	p.checkTag(tag, false)
 	if count <= 0 {
 		return
+	}
+	if count > math.MaxInt32 {
+		// The fused rendezvous cell holds the batch length as int32.
+		panic(fmt.Sprintf("nx: rank %d: exchange batch of %d exceeds %d", p.rank, count, math.MaxInt32))
 	}
 	if peer == p.rank {
 		panic(fmt.Sprintf("nx: rank %d exchanging with itself", p.rank))
