@@ -111,7 +111,8 @@ func BenchmarkE4LinpackDelta(b *testing.B) {
 
 // BenchmarkE4LinpackDeltaTreeCollectives is BenchmarkE4LinpackDelta on
 // the legacy tree-message collective path: the ratio against the fused
-// default is the fused engine's speedup, tracked in BENCH_report.json.
+// default is the fused engine's speedup. The repository benchmark is
+// BENCHMARK.json (perfbench/); measured numbers are recorded in CHANGES.md.
 func BenchmarkE4LinpackDeltaTreeCollectives(b *testing.B) {
 	prev := nx.DefaultCollectives()
 	nx.SetDefaultCollectives(nx.CollectivesTree)
@@ -565,7 +566,8 @@ func BenchmarkReportParallel(b *testing.B) {
 // in-order emit path, so the bytes match BenchmarkReportParallel's while
 // the cost drops from simulation time to a handful of file reads. The
 // cold/warm gap against BenchmarkReportParallel is the result cache's
-// speedup (BENCH_report.json tracks it across PRs).
+// speedup. The repository benchmark is BENCHMARK.json (perfbench/);
+// measured numbers are recorded in CHANGES.md.
 func BenchmarkReportCached(b *testing.B) {
 	ctx := context.Background()
 	c, err := cache.Open(b.TempDir())

@@ -20,9 +20,13 @@
 // content address: sha256 over the workload ID, the canonical parameter
 // encoding (harness.Params.Canonical — deterministic regardless of map
 // insertion order) and the workload's kernel version, truncated to 32 hex
-// digits. Writes are append-safe: each Put writes a temp file and renames
-// it into place, so a reader never observes a partial entry and concurrent
-// writers of the same key simply race to an identical file. Any read
+// digits. Each entry is one line of compact JSON (older entries written
+// indented read back the same: only whitespace differs). Writes are
+// append-safe: each Put writes a temp file and renames it into place, so a
+// reader never observes a partial entry and concurrent writers of the same
+// key simply race to an identical file. Put runs MkdirAll only when
+// creating the temp file fails (the directory is missing), so the common
+// write is one create, one write and one rename. Any read
 // problem — missing file, truncated or corrupt JSON, an entry whose
 // recorded identity does not match the key — is a miss, never an error:
 // the caller recomputes and overwrites.
@@ -84,7 +88,13 @@ func (c *Cache) Dir() string { return c.dir }
 // to 32 hex digits. Two runs of the same point share a Key however their
 // Params maps were built; a version bump moves every point to fresh keys.
 func Key(workloadID string, p harness.Params, version string) string {
-	sum := sha256.Sum256([]byte(workloadID + "\x00" + p.Canonical() + "\x00" + version))
+	return key(workloadID, p.Canonical(), version)
+}
+
+// key is Key over an already computed canonical parameter encoding, so
+// Get and Put canonicalize once for both the address and the entry.
+func key(workloadID, canon, version string) string {
+	sum := sha256.Sum256([]byte(workloadID + "\x00" + canon + "\x00" + version))
 	return hex.EncodeToString(sum[:])[:keyHexLen]
 }
 
@@ -108,7 +118,8 @@ func (c *Cache) path(key string) string {
 // corrupt JSON, schema from the future, identity mismatch — is a miss:
 // the caller recomputes, and the next Put repairs the entry.
 func (c *Cache) Get(workloadID string, p harness.Params, version string) (harness.Result, bool) {
-	b, err := os.ReadFile(c.path(Key(workloadID, p, version)))
+	canon := p.Canonical()
+	b, err := os.ReadFile(c.path(key(workloadID, canon, version)))
 	if err != nil {
 		return harness.Result{}, false
 	}
@@ -119,7 +130,7 @@ func (c *Cache) Get(workloadID string, p harness.Params, version string) (harnes
 	if e.Schema > Schema {
 		return harness.Result{}, false
 	}
-	if e.WorkloadID != workloadID || e.ParamsKey != p.Canonical() || e.Version != version {
+	if e.WorkloadID != workloadID || e.ParamsKey != canon || e.Version != version {
 		return harness.Result{}, false
 	}
 	return e.Result, true
@@ -137,15 +148,21 @@ func (c *Cache) Put(workloadID string, p harness.Params, version string, res har
 		Version:    version,
 		Result:     res,
 	}
-	b, err := json.MarshalIndent(e, "", "  ")
+	b, err := json.Marshal(e)
 	if err != nil {
 		return fmt.Errorf("cache: encode entry %s: %w", workloadID, err)
 	}
 	b = append(b, '\n')
-	if err := os.MkdirAll(c.dir, 0o755); err != nil {
-		return fmt.Errorf("cache: create %s: %w", c.dir, err)
-	}
 	tmp, err := os.CreateTemp(c.dir, "put-*.tmp")
+	if err != nil {
+		// First write, or the directory was removed since: create it and
+		// try once more. Any failure goes through MkdirAll, so a path
+		// that cannot be a directory reports the same error it always has.
+		if err := os.MkdirAll(c.dir, 0o755); err != nil {
+			return fmt.Errorf("cache: create %s: %w", c.dir, err)
+		}
+		tmp, err = os.CreateTemp(c.dir, "put-*.tmp")
+	}
 	if err != nil {
 		return fmt.Errorf("cache: %w", err)
 	}
@@ -158,7 +175,7 @@ func (c *Cache) Put(workloadID string, p harness.Params, version string, res har
 		os.Remove(tmp.Name())
 		return fmt.Errorf("cache: write entry %s: %w", workloadID, err)
 	}
-	if err := os.Rename(tmp.Name(), c.path(Key(workloadID, p, version))); err != nil {
+	if err := os.Rename(tmp.Name(), c.path(key(workloadID, e.ParamsKey, version))); err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("cache: commit entry %s: %w", workloadID, err)
 	}

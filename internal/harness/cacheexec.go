@@ -3,12 +3,14 @@ package harness
 import (
 	"context"
 	"errors"
+	"sync"
 )
 
 // ResultCache is the read/write surface CachingExecutor needs from a
 // result cache. repro/internal/cache implements it on disk; tests use
-// in-memory fakes. Get must treat every failure as a miss; Put failures
-// are tolerated (the run already has the result in hand).
+// in-memory fakes. Get must treat every failure as a miss and be safe
+// for concurrent use (CachingExecutor looks jobs up in parallel); Put
+// failures are tolerated (the run already has the result in hand).
 type ResultCache interface {
 	// Get returns the cached Result of one workload point and whether
 	// one was found.
@@ -61,23 +63,15 @@ func (e *CachingExecutor) Execute(ctx context.Context, jobs []Job, emit func(int
 	}
 	e.Hits, e.Misses, e.PutErrors = 0, 0, 0
 
+	cached, hit := e.lookup(jobs)
 	asm := newAssembler(len(jobs), emit)
 	var missJobs []Job
 	var missIdx []int
 	for i, job := range jobs {
-		// Nil workloads are forwarded so the inner executor reports them
-		// with its usual JobError instead of the cache layer inventing a
-		// second failure shape.
-		if job.Workload != nil {
-			res, ok := e.Cache.Get(job.Workload.ID(), job.Params, VersionOf(job.Workload))
-			if ok {
-				if res.WorkloadID == "" {
-					res.WorkloadID = job.Workload.ID()
-				}
-				e.Hits++
-				asm.complete(i, res)
-				continue
-			}
+		if hit[i] {
+			e.Hits++
+			asm.complete(i, cached[i])
+			continue
 		}
 		e.Misses++
 		missJobs = append(missJobs, job)
@@ -106,4 +100,39 @@ func (e *CachingExecutor) Execute(ctx context.Context, jobs []Job, emit func(int
 	// a failed miss are buffered but not surfaced, so no slot ever holds
 	// a result whose predecessors are unknown.
 	return asm.completed(), err
+}
+
+// lookup consults the cache for every job, in contiguous chunks over
+// DefaultWorkers goroutines, and returns each job's cached Result and
+// whether it hit. Completing the hits is left to the caller, in index
+// order, so the emit contract does not depend on which lookup finished
+// first. Nil workloads never hit: they are forwarded so the inner
+// executor reports them with its usual JobError instead of the cache
+// layer inventing a second failure shape.
+func (e *CachingExecutor) lookup(jobs []Job) ([]Result, []bool) {
+	res := make([]Result, len(jobs))
+	hit := make([]bool, len(jobs))
+	workers := min(DefaultWorkers(), len(jobs))
+	chunk := (len(jobs) + workers - 1) / workers
+	var wg sync.WaitGroup
+	for lo := 0; lo < len(jobs); lo += chunk {
+		hi := min(lo+chunk, len(jobs))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := lo; i < hi; i++ {
+				wl := jobs[i].Workload
+				if wl == nil {
+					continue
+				}
+				r, ok := e.Cache.Get(wl.ID(), jobs[i].Params, VersionOf(wl))
+				if ok && r.WorkloadID == "" {
+					r.WorkloadID = wl.ID()
+				}
+				res[i], hit[i] = r, ok
+			}
+		}()
+	}
+	wg.Wait()
+	return res, hit
 }

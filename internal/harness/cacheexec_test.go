@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // memCache is an in-memory ResultCache for executor tests.
@@ -236,5 +239,70 @@ func TestSpecVersionOf(t *testing.T) {
 	}
 	if got := VersionOf(Spec{}); got != "" {
 		t.Fatalf("VersionOf(zero Spec) = %q, want empty", got)
+	}
+}
+
+// slowCache delays each Get, longest for the earliest jobs, so parallel
+// lookups finish out of index order.
+type slowCache struct {
+	memCache
+	n int
+}
+
+func (c *slowCache) Get(id string, p Params, v string) (Result, bool) {
+	time.Sleep(time.Duration(c.n-int(p.Seed)) * 20 * time.Microsecond)
+	return c.memCache.Get(id, p, v)
+}
+
+// TestCachingExecutorParallelLookups: the cache lookups run in parallel,
+// yet Hits and Misses stay exact, emits arrive in ascending order, and a
+// nil workload is still forwarded to the inner executor (which fails it
+// at its original index). Run under -race at GOMAXPROCS 1 and 2.
+func TestCachingExecutorParallelLookups(t *testing.T) {
+	const n = 41
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			c := &slowCache{n: n}
+			w := &countingWorkload{id: "w", version: "v1"}
+			jobs := make([]Job, n)
+			wantHits := 0
+			for i := range jobs {
+				jobs[i] = Job{Workload: w, Params: Params{Seed: int64(i)}}
+				if i%3 == 0 {
+					wantHits++
+					if err := c.Put("w", jobs[i].Params, "v1", Result{WorkloadID: "w", Text: fmt.Sprintf("cached %d\n", i)}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			jobs[n-1].Workload = nil // n-1 = 40 is not a multiple of 3: a miss
+			var order []int
+			ex := cachingExec(c)
+			results, err := ex.Execute(context.Background(), jobs, func(i int, r Result) {
+				order = append(order, i)
+				if cached := strings.HasPrefix(r.Text, "cached"); cached != (i%3 == 0) {
+					t.Errorf("emit %d: cached=%v", i, cached)
+				}
+			})
+			var je *JobError
+			if !errors.As(err, &je) || je.Index != n-1 {
+				t.Fatalf("nil workload: error %v, want a JobError at index %d", err, n-1)
+			}
+			if ex.Hits != wantHits || ex.Misses != n-wantHits {
+				t.Fatalf("hits=%d misses=%d, want %d/%d", ex.Hits, ex.Misses, wantHits, n-wantHits)
+			}
+			if len(results) != n-1 || len(order) != n-1 {
+				t.Fatalf("got %d results, %d emits, want %d", len(results), len(order), n-1)
+			}
+			for i, idx := range order {
+				if idx != i {
+					t.Fatalf("emit order %v is not strictly ascending", order)
+				}
+			}
+			if runs := w.runCount(); runs != n-1-wantHits {
+				t.Fatalf("workload ran %d times, want %d (hits must not run)", runs, n-1-wantHits)
+			}
+		})
 	}
 }

@@ -96,13 +96,22 @@ func DecodeWireResult(line []byte) (WireResult, error) {
 	if err := json.Unmarshal(line, &r); err != nil {
 		return WireResult{}, fmt.Errorf("harness: decode wire result: %w", err)
 	}
-	if r.Index < 0 {
-		return WireResult{}, fmt.Errorf("harness: wire result has negative index %d", r.Index)
-	}
-	if (r.Result == nil) == (r.Error == "") {
-		return WireResult{}, fmt.Errorf("harness: wire result %d must carry exactly one of result and error", r.Index)
+	if err := checkWireResult(r); err != nil {
+		return WireResult{}, err
 	}
 	return r, nil
+}
+
+// checkWireResult holds the checks every decoded WireResult passes,
+// whether it arrived as a bare line or inside a WireResponse frame.
+func checkWireResult(r WireResult) error {
+	if r.Index < 0 {
+		return fmt.Errorf("harness: wire result has negative index %d", r.Index)
+	}
+	if (r.Result == nil) == (r.Error == "") {
+		return fmt.Errorf("harness: wire result %d must carry exactly one of result and error", r.Index)
+	}
+	return nil
 }
 
 // maxWireFrame caps one frame's size: results carry whole rendered
@@ -367,7 +376,10 @@ type WireResponse struct {
 }
 
 // DecodeWireResponse parses one response frame; result validation is
-// skipped for heartbeats, which carry no payload.
+// skipped for heartbeats, which carry no payload. The frame is parsed
+// once: the embedded WireResult's fields are a subset of the frame's, so
+// it decodes to exactly what DecodeWireResult would return for the same
+// line, and gets the same checks.
 func DecodeWireResponse(line []byte) (WireResponse, error) {
 	var r WireResponse
 	if err := json.Unmarshal(line, &r); err != nil {
@@ -376,11 +388,10 @@ func DecodeWireResponse(line []byte) (WireResponse, error) {
 	if r.Heartbeat {
 		return WireResponse{Heartbeat: true}, nil
 	}
-	wr, err := DecodeWireResult(line)
-	if err != nil {
+	if err := checkWireResult(r.WireResult); err != nil {
 		return WireResponse{}, err
 	}
-	return WireResponse{WireResult: wr}, nil
+	return r, nil
 }
 
 // responseTracker holds one worker stream's answers to its questions:

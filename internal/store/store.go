@@ -45,9 +45,12 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/harness"
@@ -199,7 +202,10 @@ func shortHash(s string) string {
 
 // Append writes one snapshot holding the entries and returns its RunID.
 // The store directory and file are created as needed; records are written
-// as one JSONL line each in entry order.
+// as one JSONL line each in entry order. The records are encoded in
+// parallel (fanOut) into one buffer per entry and joined in entry order,
+// so the file bytes and the error — the first failing entry's, in entry
+// order — are those of encoding them one by one.
 func (s *Store) Append(meta Meta, entries []Entry) (string, error) {
 	if len(entries) == 0 {
 		return "", errors.New("store: nothing to append")
@@ -228,18 +234,22 @@ func (s *Store) Append(meta Meta, entries []Entry) (string, error) {
 	// Encode the whole snapshot before touching the file: an encode
 	// failure (a NaN metric, say — encoding/json rejects it) must not
 	// leave a partial snapshot as `latest`.
-	var buf bytes.Buffer
-	for _, e := range entries {
-		rec, err := newRecord(runID, meta, e)
+	lines := make([][]byte, len(entries))
+	errs := make([]error, len(entries))
+	fanOut(len(entries), func(i int) {
+		lines[i], errs[i] = encodeRecord(runID, meta, entries[i])
+	})
+	size := len(entries)
+	for i, err := range errs {
 		if err != nil {
 			return "", err
 		}
-		line, err := json.Marshal(rec)
-		if err != nil {
-			return "", fmt.Errorf("store: encode record %s: %w", rec.WorkloadID, err)
-		}
-		buf.Write(line)
-		buf.WriteByte('\n')
+		size += len(lines[i])
+	}
+	buf := make([]byte, 0, size)
+	for _, line := range lines {
+		buf = append(buf, line...)
+		buf = append(buf, '\n')
 	}
 
 	if err := os.MkdirAll(s.dir, 0o755); err != nil {
@@ -250,7 +260,7 @@ func (s *Store) Append(meta Meta, entries []Entry) (string, error) {
 		return "", fmt.Errorf("store: open %s: %w", s.file(), err)
 	}
 	defer f.Close()
-	if _, err := f.Write(buf.Bytes()); err != nil {
+	if _, err := f.Write(buf); err != nil {
 		return "", fmt.Errorf("store: write %s: %w", s.file(), err)
 	}
 	// fsync before reporting success: the store is the system of record,
@@ -346,6 +356,20 @@ func ValidateTag(tag string) error {
 	return nil
 }
 
+// encodeRecord builds one entry's record and encodes it as a JSONL line
+// (without the newline).
+func encodeRecord(runID string, meta Meta, e Entry) ([]byte, error) {
+	rec, err := newRecord(runID, meta, e)
+	if err != nil {
+		return nil, err
+	}
+	line, err := json.Marshal(rec)
+	if err != nil {
+		return nil, fmt.Errorf("store: encode record %s: %w", rec.WorkloadID, err)
+	}
+	return line, nil
+}
+
 func newRecord(runID string, meta Meta, e Entry) (Record, error) {
 	resJSON, err := json.Marshal(e.Result)
 	if err != nil {
@@ -366,6 +390,11 @@ func newRecord(runID string, meta Meta, e Entry) (Record, error) {
 	}, nil
 }
 
+// loadBatch is how many non-blank lines load reads before decoding them
+// together: enough to keep every core busy, small enough that load never
+// holds more than a batch of raw lines beside the decoded records.
+const loadBatch = 256
+
 // load reads every record in file order. A missing file is an empty
 // store, not an error, and neither is a torn final line: a crash
 // mid-append can leave a partial record with no terminating newline,
@@ -373,7 +402,14 @@ func newRecord(runID string, meta Meta, e Entry) (Record, error) {
 // instead of poisoning every read of the system of record. A *complete*
 // line that fails to parse is still a hard error — that is corruption,
 // not a crash artifact.
-func (s *Store) load() ([]Record, error) {
+//
+// Lines stream through one buffered reader in batches of batch non-blank
+// lines (loadBatch outside tests), so the whole file is never held in
+// memory. Each batch is decoded in parallel (fanOut) straight into the
+// output slice and then checked in file order, so the first bad line,
+// the torn-tail warning and the newer-schema rejection are exactly those
+// of a line-by-line decode.
+func (s *Store) load(batch int) ([]Record, error) {
 	f, err := os.Open(s.file())
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
@@ -384,16 +420,50 @@ func (s *Store) load() ([]Record, error) {
 	defer f.Close()
 
 	var out []Record
+	// The pending batch: each non-blank line (trimmed) and its line
+	// number. Only the last line read can lack its newline (torn).
+	texts := make([][]byte, 0, batch)
+	lineNos := make([]int, 0, batch)
+	torn := false
+	flush := func() error {
+		base := len(out)
+		out = slices.Grow(out, len(texts))[:base+len(texts)]
+		errs := make([]error, len(texts))
+		fanOut(len(texts), func(i int) {
+			errs[i] = json.Unmarshal(texts[i], &out[base+i])
+		})
+		for i, uerr := range errs {
+			if uerr != nil {
+				if torn && i == len(texts)-1 {
+					s.warnf("store: ignoring torn final line in %s (%d bytes, crash mid-append); the next append will repair it\n",
+						s.file(), len(texts[i]))
+					out = out[:base+i]
+					break
+				}
+				return fmt.Errorf("store: %s line %d: %w", s.file(), lineNos[i], uerr)
+			}
+			if rec := &out[base+i]; rec.Schema > Schema {
+				return fmt.Errorf("store: %s line %d: schema %d is newer than supported %d",
+					s.file(), lineNos[i], rec.Schema, Schema)
+			}
+		}
+		texts, lineNos = texts[:0], lineNos[:0]
+		return nil
+	}
+
 	br := bufio.NewReaderSize(f, 1<<20)
 	line := 0
 	for {
 		raw, err := br.ReadBytes('\n')
 		terminated := err == nil
 		if err != nil && !errors.Is(err, io.EOF) {
+			if ferr := flush(); ferr != nil {
+				return nil, ferr
+			}
 			return nil, fmt.Errorf("store: read %s: %w", s.file(), err)
 		}
-		text := strings.TrimSpace(string(raw))
-		if text == "" {
+		text := bytes.TrimSpace(raw)
+		if len(text) == 0 {
 			if !terminated {
 				break
 			}
@@ -401,25 +471,49 @@ func (s *Store) load() ([]Record, error) {
 			continue
 		}
 		line++
-		var rec Record
-		if uerr := json.Unmarshal([]byte(text), &rec); uerr != nil {
-			if !terminated {
-				s.warnf("store: ignoring torn final line in %s (%d bytes, crash mid-append); the next append will repair it\n",
-					s.file(), len(text))
-				break
-			}
-			return nil, fmt.Errorf("store: %s line %d: %w", s.file(), line, uerr)
-		}
-		if rec.Schema > Schema {
-			return nil, fmt.Errorf("store: %s line %d: schema %d is newer than supported %d",
-				s.file(), line, rec.Schema, Schema)
-		}
-		out = append(out, rec)
+		texts = append(texts, text)
+		lineNos = append(lineNos, line)
 		if !terminated {
+			torn = true
 			break
 		}
+		if len(texts) == batch {
+			if err := flush(); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if err := flush(); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// fanOut calls fn(i) for every i in [0, n), split into contiguous chunks
+// over GOMAXPROCS goroutines, and returns once every call has. Callers
+// write each result into its own slot and read the slots back in index
+// order, so what they report never depends on scheduling.
+func fanOut(n int, fn func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	chunk := (n + workers - 1) / workers
+	var wg sync.WaitGroup
+	for lo := 0; lo < n; lo += chunk {
+		hi := min(lo+chunk, n)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := lo; i < hi; i++ {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // nextSeq picks the sequence number for a new snapshot. The file is
@@ -533,7 +627,7 @@ func (s *Store) countSnapshots() (int, error) {
 // Snapshots groups the store's records by RunID, oldest first (append
 // order, which is how `latest` and `latest~N` count).
 func (s *Store) Snapshots() ([]Snapshot, error) {
-	recs, err := s.load()
+	recs, err := s.load(loadBatch)
 	if err != nil {
 		return nil, err
 	}
