@@ -8,7 +8,7 @@
 //	hpcc run linpack/delta  # one workload
 //	hpcc sweep -ids E1,E4   # a portfolio slice
 //	hpcc sweep -shards 4    # the same sweep across 4 worker processes
-//	hpcc worker             # shard child: JSONL jobs in, results out
+//	hpcc worker             # shard child: the wire protocol on stdin/stdout
 //	hpcc diff latest~1 latest  # compare two stored snapshots
 //	hpcc linpack -sweep nb  # the old linpack binary
 //	hpcc nren -storm        # the old nrensim binary
@@ -21,12 +21,13 @@
 // init time (the blank imports below pull every family in). The
 // subcommands then only ever talk to the registry: list walks it, run
 // looks one workload up, and report/sweep hand Jobs to a
-// harness.Executor — the in-process pool (-j), or with -shards N a
-// process-shard executor that re-execs this binary as N `hpcc worker`
-// children and farms jobs to them over a JSONL stdin/stdout wire. Both
-// executors assemble results in job order and stream each finished
-// prefix as it completes, so output is byte-identical at any -j or
-// -shards while long sweeps show progress. With -store, run/sweep/report
+// harness.Executor — the in-process pool (-j), or the wire executor,
+// which with -shards N re-execs this binary as N `hpcc worker` children
+// and speaks the JSONL wire protocol over their stdin/stdout, and with
+// -remote speaks it over TCP to a fleet. Every executor assembles
+// results in job order and streams each finished prefix as it
+// completes, so output is byte-identical at any -j, -shards or -remote
+// while long sweeps show progress. With -store, run/sweep/report
 // additionally append their structured results to a repro/internal/store
 // run store as one snapshot (keyed by workload ID + canonical params +
 // commit), and diff resolves two snapshots by ref (latest, latest~N, a
@@ -68,7 +69,7 @@ func commands() []command {
 		{"run", "run one workload by ID", cmdRun},
 		{"sweep", "run a set of workloads, or one workload over parameter values", cmdSweep},
 		{"resume", "finish an interrupted -journal run/sweep/report from its checkpoint", cmdResume},
-		{"worker", "serve sweep jobs from stdin as JSONL, or over TCP with -listen", cmdWorker},
+		{"worker", "serve sweep jobs over the JSONL wire on stdin/stdout, or over TCP with -listen", cmdWorker},
 		{"serve", "long-lived HTTP JSON API over run/sweep/report/trend", cmdServe},
 		{"diff", "compare two stored snapshots and flag metric regressions", cmdDiff},
 		{"trend", "print one workload metric across stored snapshots (CLI twin of /api/v1/trend)", cmdTrend},

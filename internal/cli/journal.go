@@ -145,14 +145,10 @@ func (df *drainFlags) register(fs *flag.FlagSet) {
 		"on SIGINT/SIGTERM, let in-flight jobs finish for up to this long before hard-cancelling (0 = cancel immediately)")
 }
 
-// wrap derives the context jobs run under. drains says whether the
-// chosen executor honors a drain channel (the in-process pool and
-// -shards do; -remote cancels outright) — without it, grace would leave
-// a remote sweep running ungoverned after the signal.
-func (df *drainFlags) wrap(ctx context.Context, drains bool) (context.Context, context.CancelFunc) {
-	if !drains || df.grace <= 0 {
-		return context.WithCancel(ctx)
-	}
+// wrap derives the context jobs run under: it outlives ctx by the grace
+// period, while the executor's drain channel (ctx.Done()) stops dispatch
+// at the signal.
+func (df *drainFlags) wrap(ctx context.Context) (context.Context, context.CancelFunc) {
 	return harness.WithDrain(ctx, df.grace)
 }
 
@@ -257,7 +253,7 @@ func cmdResume(ctx context.Context, args []string, stdout, stderr io.Writer) err
 	}
 	fmt.Fprintf(stderr, "hpcc: resuming %s %s: %d of %d job(s) already complete\n", h.Mode, h.Hash, len(done), len(jobList))
 
-	inner, drains, err := newExecutor(*shards, *jobs, *remote, tf.token, ctx.Done(), stderr)
+	inner, err := newExecutor(*shards, *jobs, *remote, tf.token, ctx.Done(), stderr)
 	if err != nil {
 		j.Close()
 		return err
@@ -265,7 +261,7 @@ func cmdResume(ctx context.Context, args []string, stdout, stderr io.Writer) err
 	jf := &journalFlags{dir: *dir, jnl: j}
 	ex := jf.wrap(wrapExecutor(inner, resultCache), done)
 
-	jobCtx, stopGrace := df.wrap(ctx, drains)
+	jobCtx, stopGrace := df.wrap(ctx)
 	defer stopGrace()
 	runBase, cancelBudget := bf.apply(jobCtx)
 	defer cancelBudget()

@@ -137,7 +137,7 @@ func cmdReport(ctx context.Context, args []string, stdout, stderr io.Writer) (er
 	// a SIGINT/SIGTERM stops dispatch at once while in-flight exhibits
 	// finish under the -drain grace; -budget layers on top so an expiry
 	// cancels outright and surfaces as DeadlineExceeded.
-	ex, drains, err := newExecutor(*shards, *jobs, *remote, tf.token, ctx.Done(), stderr)
+	ex, err := newExecutor(*shards, *jobs, *remote, tf.token, ctx.Done(), stderr)
 	if err != nil {
 		return err
 	}
@@ -150,7 +150,7 @@ func cmdReport(ctx context.Context, args []string, stdout, stderr io.Writer) (er
 		return err
 	}
 	ex = jf.wrap(wrapExecutor(ex, resultCache), done)
-	jobCtx, stopGrace := df.wrap(ctx, drains)
+	jobCtx, stopGrace := df.wrap(ctx)
 	defer stopGrace()
 	runBase, cancelBudget := bf.apply(jobCtx)
 	defer cancelBudget()
@@ -481,7 +481,7 @@ func cmdSweep(ctx context.Context, args []string, stdout, stderr io.Writer) (err
 	// drained jobCtx that outlives the signal by the -drain grace. The
 	// -budget deadline layers on top so an expiry cancels jobs outright
 	// (it must surface as DeadlineExceeded, not a drain).
-	ex, drains, err := newExecutor(*shards, *jobs, *remote, tf.token, ctx.Done(), stderr)
+	ex, err := newExecutor(*shards, *jobs, *remote, tf.token, ctx.Done(), stderr)
 	if err != nil {
 		return err
 	}
@@ -490,7 +490,7 @@ func cmdSweep(ctx context.Context, args []string, stdout, stderr io.Writer) (err
 		return err
 	}
 	ex = jf.wrap(wrapExecutor(ex, resultCache), done)
-	jobCtx, stopGrace := df.wrap(ctx, drains)
+	jobCtx, stopGrace := df.wrap(ctx)
 	defer stopGrace()
 	runBase, cancelBudget := bf.apply(jobCtx)
 	defer cancelBudget()

@@ -86,7 +86,7 @@ func cmdServe(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		budget:   bf.d,
 		admit:    newAdmitter(*pool, *queue),
 		newExec: func() (harness.Executor, error) {
-			ex, _, err := newExecutor(*shards, *jobs, *remote, tf.token, nil, stderr)
+			ex, err := newExecutor(*shards, *jobs, *remote, tf.token, nil, stderr)
 			return ex, err
 		},
 	}

@@ -1,8 +1,9 @@
 package cli
 
 // Process-sharded and remote-fleet sweeps: the `hpcc worker` subcommand
-// (stdin/stdout shard child, or with -listen a TCP fleet worker) and the
-// -shards/-remote executor wiring used by sweep and report.
+// (a -shards child speaking the wire protocol on stdin/stdout, or with
+// -listen a TCP fleet worker) and the -shards/-remote executor wiring
+// used by sweep and report.
 
 import (
 	"context"
@@ -26,7 +27,7 @@ const workerEnv = "HPCC_WORKER_PROCESS"
 func cmdWorker(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("hpcc worker", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	listen := fs.String("listen", "", "serve jobs over TCP on this address (e.g. 127.0.0.1:7841) instead of stdin/stdout")
+	listen := fs.String("listen", "", "serve jobs over TCP on this address (e.g. 127.0.0.1:7841) instead of stdin/stdout; -token applies only here")
 	drain := fs.Duration("drain", 0, "with -listen: on shutdown, let in-flight jobs finish for up to this long before closing connections (0 = close immediately)")
 	var tf tokenFlags
 	tf.register(fs)
@@ -34,10 +35,17 @@ func cmdWorker(ctx context.Context, args []string, stdout, stderr io.Writer) err
 		return parseErr(err)
 	}
 	if fs.NArg() > 0 {
-		return errors.New("worker: takes no arguments (jobs arrive as JSONL on stdin, or over TCP with -listen)")
+		return errors.New("worker: takes no arguments (it speaks the JSONL wire protocol on stdin/stdout, or over TCP with -listen)")
 	}
 	if *listen == "" {
-		return harness.ServeWorker(ctx, harness.Default, os.Stdin, stdout)
+		// The parent that spawned a stdio worker owns its lifetime: it
+		// closes stdin when done and kills the child on cancellation. A
+		// terminal's SIGINT reaches the whole process group, so the
+		// child ignores it and lets the parent drain its in-flight jobs.
+		if err := harness.ServeWorker(context.WithoutCancel(ctx), harness.Default, os.Stdin, stdout); err != nil {
+			return fmt.Errorf("worker: %w", err)
+		}
+		return nil
 	}
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
@@ -106,30 +114,28 @@ func validateExecutorConfig(shards, jobs int, remote string) error {
 // pool, (-shards > 0) that many child processes re-exec'ing this
 // binary's worker subcommand, or (-remote) a fleet of `hpcc worker
 // -listen` processes reached over TCP, authenticated with token when one
-// is set.
+// is set. The token guards network listeners only; -shards children are
+// this process's own and handshake without one.
 //
-// drain, when non-nil, is handed to executors that support graceful
-// draining (the pool and -shards: dispatch stops when it fires,
-// in-flight jobs finish). The second return says whether the chosen
-// executor honors it — RemoteExecutor does not, so its callers skip the
-// drain grace and cancel outright on a signal.
-func newExecutor(shards, jobs int, remote, token string, drain <-chan struct{}, stderr io.Writer) (harness.Executor, bool, error) {
+// drain, when non-nil, stops dispatch when it fires while in-flight jobs
+// finish; every executor honors it.
+func newExecutor(shards, jobs int, remote, token string, drain <-chan struct{}, stderr io.Writer) (harness.Executor, error) {
 	if err := validateExecutorConfig(shards, jobs, remote); err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if remote != "" {
 		addrs, err := splitRemoteAddrs(remote)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
-		return &harness.RemoteExecutor{Addrs: addrs, Registry: harness.Default, Token: token, Stderr: stderr}, false, nil
+		return &harness.RemoteExecutor{Addrs: addrs, Registry: harness.Default, Token: token, Stderr: stderr, Drain: drain}, nil
 	}
 	if shards == 0 {
-		return harness.LocalExecutor{Workers: jobs, Drain: drain}, true, nil
+		return harness.LocalExecutor{Workers: jobs, Drain: drain}, nil
 	}
 	exe, err := os.Executable()
 	if err != nil {
-		return nil, false, fmt.Errorf("shards: locate worker binary: %w", err)
+		return nil, fmt.Errorf("shards: locate worker binary: %w", err)
 	}
 	return &harness.ShardExecutor{
 		Shards: shards,
@@ -137,5 +143,5 @@ func newExecutor(shards, jobs int, remote, token string, drain <-chan struct{}, 
 		Env:    []string{workerEnv + "=1"},
 		Stderr: stderr,
 		Drain:  drain,
-	}, true, nil
+	}, nil
 }

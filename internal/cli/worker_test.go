@@ -37,6 +37,28 @@ func TestSweepShardsByteIdenticalFullPortfolio(t *testing.T) {
 	}
 }
 
+// TestSweepShardsIgnoreFleetToken: the fleet token guards network
+// listeners; a -shards child is this process's own and handshakes
+// without one. With HPCC_TOKEN set, parent and child would disagree if
+// either side picked it up on stdio, and the sweep would be refused.
+func TestSweepShardsIgnoreFleetToken(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-portfolio sweep in -short mode")
+	}
+	local, _, code := run(t, "sweep", "-quick", "-j", "2")
+	if code != 0 {
+		t.Fatalf("local sweep exit %d", code)
+	}
+	t.Setenv("HPCC_TOKEN", "x")
+	sharded, errOut, code := run(t, "sweep", "-quick", "-shards", "2")
+	if code != 0 {
+		t.Fatalf("sweep -shards 2 with HPCC_TOKEN exit %d: %s", code, errOut)
+	}
+	if sharded != local {
+		t.Fatal("sweep -shards 2 with HPCC_TOKEN differs from the local pool")
+	}
+}
+
 func TestSweepShardsParamValues(t *testing.T) {
 	local, _, code := run(t, "sweep", "linpack/delta", "-quick",
 		"-param", "nb", "-values", "8,32", "-j", "2")

@@ -6,13 +6,14 @@ import (
 )
 
 // Executor runs a batch of sweep jobs and assembles their Results in job
-// order. Several implementations exist: LocalExecutor, the in-process
-// goroutine pool Sweep has always used; ShardExecutor (shard.go), which
-// fans jobs out to child worker processes over the JSONL wire protocol
-// in wire.go; RemoteExecutor (remote.go) over TCP; and the wrapping
-// CachingExecutor (cacheexec.go) and JournalingExecutor (journal.go).
-// All promise the same contract, so output is byte-identical whichever
-// executor a sweep runs on.
+// order. Two engines implement it: LocalExecutor, the in-process
+// goroutine pool Sweep has always used, and RemoteExecutor (remote.go),
+// which fans jobs out to worker processes over the JSONL wire protocol
+// in wire.go — over TCP, or through ShardExecutor (shard.go), which
+// dials by spawning child processes. CachingExecutor (cacheexec.go) and
+// JournalingExecutor (journal.go) wrap either. All promise the same
+// contract, so output is byte-identical whichever executor a sweep runs
+// on.
 type Executor interface {
 	// Execute runs jobs and returns their Results in job order. On
 	// failure it returns the error of the lowest-indexed failed job

@@ -1,12 +1,13 @@
 package harness
 
-// RemoteExecutor fans sweep jobs out over TCP to `hpcc worker -listen`
-// processes — the fleet manager for the paper's many-machines-one-
-// program model over commodity networking. It speaks the same JSONL
-// wire as ShardExecutor but pipelines a small window of jobs per
-// connection, so the per-message handshake latency the PC-cluster work
-// identifies as the real cost is paid once per connection, not once per
-// job.
+// RemoteExecutor fans sweep jobs out to worker processes over the JSONL
+// wire of wire.go — the fleet manager for the paper's many-machines-one-
+// program model over commodity networking. By default it dials TCP to
+// `hpcc worker -listen` processes; ShardExecutor reuses it with a
+// dialer that spawns local `hpcc worker` children instead. It
+// pipelines a small window of jobs per connection, so the per-message
+// handshake latency the PC-cluster work identifies as the real cost is
+// paid once per connection, not once per job.
 //
 // Failure model: workers are expendable, jobs are not. Any transport
 // fault — dial failure, refused handshake, torn frame, protocol breach,
@@ -28,6 +29,10 @@ package harness
 // the sweep. While every address is down but at least one is still
 // redialing, stranded jobs park rather than fail; the sweep only dies
 // when no address can ever come back.
+//
+// Drain is the graceful stop: once the Drain channel closes no job is
+// handed out, responses already in flight still land, and Execute
+// returns the completed prefix with ErrDrained.
 
 import (
 	"context"
@@ -36,6 +41,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"os"
 	"sync"
 	"time"
 )
@@ -92,6 +98,11 @@ type RemoteExecutor struct {
 	Sleep func(ctx context.Context, d time.Duration) error
 	// Stderr receives eviction/readmission notes; nil discards them.
 	Stderr io.Writer
+	// Drain, when non-nil, requests a graceful stop when it closes:
+	// dispatch halts, in-flight jobs run to completion under ctx, and
+	// Execute returns the completed prefix with ErrDrained. A nil
+	// channel never drains.
+	Drain <-chan struct{}
 }
 
 func (e *RemoteExecutor) reg() *Registry {
@@ -183,6 +194,17 @@ type remoteSweep struct {
 	asm         *assembler
 	stderr      io.Writer
 	maxAttempts int
+	drain       <-chan struct{}
+}
+
+// drained reports whether the sweep's drain channel has closed.
+func (s *remoteSweep) drained() bool {
+	select {
+	case <-s.drain:
+		return true
+	default:
+		return false
+	}
 }
 
 // Execute implements Executor across the remote fleet. Jobs start
@@ -219,6 +241,7 @@ func (e *RemoteExecutor) Execute(ctx context.Context, jobs []Job, emit func(int,
 		asm:         newAssembler(len(jobs), emit),
 		stderr:      e.Stderr,
 		maxAttempts: e.maxAttempts(),
+		drain:       e.Drain,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for i := range jobs {
@@ -235,6 +258,18 @@ func (e *RemoteExecutor) Execute(ctx context.Context, jobs []Job, emit func(int,
 		s.mu.Unlock()
 	})
 	defer stop()
+	// So must a drain.
+	if e.Drain != nil {
+		go func() {
+			select {
+			case <-e.Drain:
+				s.mu.Lock()
+				s.cond.Broadcast()
+				s.mu.Unlock()
+			case <-inner.Done():
+			}
+		}()
+	}
 
 	var wg sync.WaitGroup
 	for w := range e.Addrs {
@@ -246,7 +281,11 @@ func (e *RemoteExecutor) Execute(ctx context.Context, jobs []Job, emit func(int,
 	}
 	wg.Wait()
 
-	return s.asm.completed(), sweepErr(ctx, s.errs, nil)
+	var drainErr error
+	if s.remaining > 0 && s.drained() {
+		drainErr = ErrDrained
+	}
+	return s.asm.completed(), sweepErr(ctx, s.errs, drainErr)
 }
 
 // connect dials addr and performs the hello exchange. A worker whose
@@ -296,21 +335,28 @@ func (e *RemoteExecutor) connect(ctx context.Context, addr string) (net.Conn, *f
 type takeAction int
 
 const (
-	takeJob   takeAction = iota // run the returned job index
-	takeDrain                   // nothing to send; wait for outstanding responses
-	takeDone                    // sweep over (or cancelled); exit cleanly
+	takeJob  takeAction = iota // run the returned job index
+	takeWait                   // nothing to send; wait for outstanding responses
+	takeDone                   // sweep over (cancelled or drained); exit cleanly
 )
 
 // take hands worker w its next job index: the front of its own queue,
 // else stolen from the back of the longest surviving queue. With no
-// queued work anywhere it drains (if w still has responses in flight)
-// or waits until either work appears or the sweep ends. Taking a job
-// charges one send attempt.
+// queued work anywhere — or once the sweep drains — it has w wait for
+// the responses it still has in flight, or else waits until either
+// work appears or the sweep ends. Taking a job charges one send
+// attempt.
 func (s *remoteSweep) take(w int, outstanding int) (int, takeAction) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
 		if s.ctx.Err() != nil || s.remaining == 0 {
+			return 0, takeDone
+		}
+		if s.drained() {
+			if outstanding > 0 {
+				return 0, takeWait
+			}
 			return 0, takeDone
 		}
 		if len(s.queues[w]) > 0 {
@@ -338,7 +384,7 @@ func (s *remoteSweep) take(w int, outstanding int) (int, takeAction) {
 			return i, takeJob
 		}
 		if outstanding > 0 {
-			return 0, takeDrain
+			return 0, takeWait
 		}
 		s.cond.Wait()
 	}
@@ -427,9 +473,10 @@ func (s *remoteSweep) evict(w int, tracker *responseTracker, cause error, willRe
 	orphans := append(tracker.pending(), s.queues[w]...)
 	s.queues[w] = nil
 	defer s.cond.Broadcast()
-	if s.ctx.Err() != nil {
-		// The sweep is already being torn down; transport errors here are
-		// victims of the cancellation, not root causes.
+	if s.ctx.Err() != nil || s.drained() {
+		// The sweep is already being torn down, or is draining and will
+		// send nothing more; transport errors here are victims of the
+		// shutdown, not root causes.
 		return
 	}
 	if s.stderr != nil {
@@ -475,7 +522,7 @@ func (s *remoteSweep) retire(w int, attempts int, cause error) {
 	orphans := s.queues[w]
 	s.queues[w] = nil
 	defer s.cond.Broadcast()
-	if s.ctx.Err() != nil {
+	if s.ctx.Err() != nil || s.drained() {
 		return
 	}
 	if s.stderr != nil {
@@ -489,9 +536,12 @@ func (s *remoteSweep) retire(w int, attempts int, cause error) {
 // front of the shortest live queue so retried jobs run ahead of fresh
 // ones; with every worker down but some still redialing, parked on the
 // shortest redialing queue for a readmission (or a steal) to pick up.
-// Callers hold s.mu.
+// Orphans are walked back to front, so the jobs that land on one queue
+// keep their order there: a crash-looping worker fails its lowest
+// stranded index first. Callers hold s.mu.
 func (s *remoteSweep) redistributeLocked(orphans []int, w int, cause error) {
-	for _, i := range orphans {
+	for k := len(orphans) - 1; k >= 0; k-- {
+		i := orphans[k]
 		if s.done[i] {
 			continue
 		}
@@ -546,17 +596,17 @@ func (e *RemoteExecutor) runWorker(ctx context.Context, s *remoteSweep, w int) {
 		if cause == nil {
 			return // sweep complete
 		}
-		// An auth refusal will not heal with time; everything else might
-		// (crashed process restarted, partition healed, fingerprint fixed
-		// by a redeploy).
-		willRedial := used < budget && ctx.Err() == nil && !errors.Is(cause, ErrTokenMismatch)
+		// Nothing is redialed for a draining sweep, nor after a
+		// permanent failure; everything else might heal (crashed process
+		// restarted, partition healed, fingerprint fixed by a redeploy).
+		willRedial := used < budget && ctx.Err() == nil && !s.drained() && !permanent(cause)
 		s.evict(w, tracker, cause, willRedial)
 		if !willRedial {
 			return
 		}
 		for {
 			used++
-			if !e.redialWait(ctx, redialBackoffFor(base, maxBackoff, used, rng)) {
+			if !e.redialWait(ctx, redialBackoffFor(base, maxBackoff, used, rng)) || s.drained() {
 				s.retire(w, used-1, cause)
 				return
 			}
@@ -568,12 +618,18 @@ func (e *RemoteExecutor) runWorker(ctx context.Context, s *remoteSweep, w int) {
 				break
 			}
 			cause = err
-			if errors.Is(err, ErrTokenMismatch) || used >= budget {
+			if permanent(err) || used >= budget {
 				s.retire(w, used, cause)
 				return
 			}
 		}
 	}
+}
+
+// permanent reports whether a connect failure cannot heal with time: an
+// auth refusal, or a worker process that could not be started.
+func permanent(err error) bool {
+	return errors.Is(err, ErrTokenMismatch) || errors.Is(err, errWorkerStart)
 }
 
 // serveAddr runs one connection lifetime against address w: dial,
@@ -589,7 +645,8 @@ func (e *RemoteExecutor) serveAddr(ctx context.Context, s *remoteSweep, w int, t
 
 // redialWait sleeps out one backoff. It returns false when the sweep
 // ended (cancelled, failed, or every job landed — all of which cancel
-// the sweep context) while waiting, which tells the redial loop to stop.
+// the sweep context) or began draining while waiting, which tells the
+// redial loop to stop.
 func (e *RemoteExecutor) redialWait(ctx context.Context, d time.Duration) bool {
 	if fn := e.Sleep; fn != nil {
 		if err := fn(ctx, d); err != nil {
@@ -603,6 +660,8 @@ func (e *RemoteExecutor) redialWait(ctx context.Context, d time.Duration) bool {
 	case <-t.C:
 		return true
 	case <-ctx.Done():
+		return false
+	case <-e.Drain:
 		return false
 	}
 }
@@ -640,7 +699,7 @@ func (e *RemoteExecutor) runSession(ctx context.Context, s *remoteSweep, w int, 
 			if act == takeDone {
 				return nil
 			}
-			if act == takeDrain {
+			if act == takeWait {
 				break
 			}
 			job := s.jobs[i]
@@ -663,8 +722,13 @@ func (e *RemoteExecutor) runSession(ctx context.Context, s *remoteSweep, w int, 
 		conn.SetReadDeadline(time.Now().Add(hbTimeout)) //lint:ignore hpccdet socket deadlines are wall-clock I/O plumbing, not simulated time
 		line, err := fr.next()
 		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			switch {
+			case errors.Is(err, os.ErrDeadlineExceeded):
 				err = fmt.Errorf("no heartbeat within %v", hbTimeout)
+			case errors.Is(err, io.EOF):
+				// A clean end of stream still strands the window: the
+				// worker owed answers and hung up (or exited) instead.
+				err = fmt.Errorf("worker hung up before answering: %w", io.ErrUnexpectedEOF)
 			}
 			return fmt.Errorf("awaiting %v: %w", tracker.pending(), err)
 		}

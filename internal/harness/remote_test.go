@@ -123,7 +123,7 @@ func orderedEmit(t *testing.T) (func(int, Result), func() []int) {
 }
 
 func TestRemoteMatchesLocalByteIdentical(t *testing.T) {
-	reg := shardTestRegistry()
+	reg := Default
 	jobs := shardEchoJobs(t, 20)
 	local, err := LocalExecutor{Workers: 4}.Execute(context.Background(), jobs, nil)
 	if err != nil {
@@ -699,5 +699,44 @@ func TestRemoteWorkerClosesConnWhenExecutorLeaves(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRemoteDrainStopsDispatchLetsInFlightFinish: closing Drain while
+// the worker holds the window stops dispatch, the in-flight jobs still
+// land, and the sweep returns that prefix with ErrDrained.
+func TestRemoteDrainStopsDispatchLetsInFlightFinish(t *testing.T) {
+	started, release := newGate(), newGate()
+	var calls atomic.Int32
+	addr, _ := startRemoteWorker(t, hookReg(t, &calls, func(ctx context.Context) {
+		started.open()
+		release.wait(ctx)
+	}))
+	execReg := counterReg(t, new(atomic.Int32), 0)
+	jobs := counterJobs(t, execReg, 6)
+	drain := make(chan struct{})
+	ex, _ := remoteExec(execReg, addr)
+	ex.Drain = drain
+	type out struct {
+		results []Result
+		err     error
+	}
+	done := make(chan out, 1)
+	go func() {
+		res, err := ex.Execute(context.Background(), jobs, nil)
+		done <- out{res, err}
+	}()
+	<-started.ch
+	close(drain)
+	release.open()
+	var got out
+	select {
+	case got = <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("drained sweep never returned")
+	}
+	checkDrained(t, got.results, got.err, len(jobs), "r/job n=%d\n")
+	if n := calls.Load(); n > 2 {
+		t.Fatalf("%d jobs ran; dispatch went past the in-flight window after the drain", n)
 	}
 }

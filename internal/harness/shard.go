@@ -5,23 +5,25 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"os/exec"
 	"sync"
 	"time"
 )
 
-// ShardExecutor fans sweep jobs out to child worker processes speaking
-// the JSONL wire protocol in wire.go — the first step past one process
-// toward the paper's farm-of-cheap-workers model. Each worker process
-// (normally `hpcc worker`, re-exec'ed from the same binary) reads one
-// WireJob line at a time on stdin and answers with one WireResult line
-// on stdout; the executor dispatches jobs dynamically to whichever
-// worker is idle and reassembles results in job order, so sharded
-// output stays byte-identical to a LocalExecutor run.
+// ShardExecutor fans sweep jobs out to child worker processes — the
+// first step past one process toward the paper's farm-of-cheap-workers
+// model. It is a RemoteExecutor whose dialer spawns a process instead
+// of opening a socket: each of the Shards worker slots runs Argv
+// (normally `hpcc worker`, re-exec'ed from the same binary) and speaks
+// the wire protocol over the child's stdin and stdout. Handshake,
+// pipelining, heartbeats, work-stealing, re-dispatch and drain are all
+// RemoteExecutor's; a redial is a respawn.
 //
-// Workloads travel by registry ID, so the worker binary must have the
-// same workloads registered; only Job.Params crosses the process
+// Workloads travel by registry ID and the handshake compares the
+// Default registries of both processes, so the worker binary must have
+// the same workloads registered; only Job.Params crosses the process
 // boundary.
 type ShardExecutor struct {
 	// Shards is the number of worker processes; < 1 means 1, and the
@@ -32,7 +34,8 @@ type ShardExecutor struct {
 	// Env entries are appended to the inherited environment of each
 	// worker.
 	Env []string
-	// Stderr receives the workers' stderr; nil discards it.
+	// Stderr receives the workers' stderr and the executor's eviction
+	// notes; nil discards them.
 	Stderr io.Writer
 	// Drain, when non-nil, requests a graceful stop when it closes:
 	// dispatch halts, in-flight wire jobs run to completion under ctx,
@@ -41,12 +44,18 @@ type ShardExecutor struct {
 	Drain <-chan struct{}
 }
 
-// waitDelay bounds how long a worker may linger after its stdin closes
-// or its context is cancelled before its pipes are forcibly closed.
+// waitDelay bounds how long a killed worker's pipes may stay open
+// before they are forcibly closed.
 const waitDelay = 10 * time.Second
 
-// lockedWriter serializes Write calls from concurrent worker stderr
-// copiers onto one destination.
+// errWorkerStart marks a worker process that could not be started. A
+// missing or unexecutable binary does not heal with time, so the
+// executor treats it as permanent and never respawns the slot.
+var errWorkerStart = errors.New("start worker")
+
+// lockedWriter serializes Write calls from concurrent writers — worker
+// stderr copiers, or a connection's result and heartbeat senders — onto
+// one destination.
 type lockedWriter struct {
 	mu sync.Mutex
 	w  io.Writer
@@ -59,8 +68,9 @@ func (l *lockedWriter) Write(p []byte) (int, error) {
 }
 
 // Execute implements Executor across worker processes. Cancelling ctx
-// closes every worker's stdin and kills stragglers; a worker that dies
-// mid-job surfaces as a *JobError for that job's index.
+// kills every worker; a worker that dies mid-job is respawned and its
+// jobs re-dispatched, and a job whose send budget runs out fails as a
+// *JobError naming the death.
 func (e *ShardExecutor) Execute(ctx context.Context, jobs []Job, emit func(int, Result)) ([]Result, error) {
 	if len(e.Argv) == 0 {
 		return nil, errors.New("harness: shard executor has no worker command")
@@ -68,22 +78,10 @@ func (e *ShardExecutor) Execute(ctx context.Context, jobs []Job, emit func(int, 
 	if len(jobs) == 0 {
 		return nil, nil
 	}
-	shards := e.Shards
-	if shards < 1 {
-		shards = 1
+	slots := make([]string, min(max(e.Shards, 1), len(jobs)))
+	for i := range slots {
+		slots[i] = fmt.Sprintf("shard %d", i)
 	}
-	if shards > len(jobs) {
-		shards = len(jobs)
-	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	asm := newAssembler(len(jobs), emit)
-	errs := make([]error, len(jobs))
-	spawnErrs := make([]error, shards)
-	feed := make(chan int)
-
 	// Every worker's stderr lands on one writer; exec copies each
 	// child's stream on its own goroutine, so the shared destination
 	// must serialize writes itself.
@@ -91,167 +89,102 @@ func (e *ShardExecutor) Execute(ctx context.Context, jobs []Job, emit func(int, 
 	if e.Stderr != nil {
 		stderr = &lockedWriter{w: e.Stderr}
 	}
-
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			if err := e.runShard(ctx, cancel, shard, jobs, feed, asm, errs, stderr); err != nil {
-				spawnErrs[shard] = err
-				cancel()
-			}
-		}(s)
-	}
-
-	var dispatchErr error
-dispatch:
-	for i := range jobs {
-		select {
-		case feed <- i:
-		case <-ctx.Done():
-			dispatchErr = ctx.Err()
-			break dispatch
-		case <-e.Drain:
-			// A drain stops dispatch only: in-flight wire jobs finish
-			// under ctx and the completed prefix remains valid.
-			dispatchErr = ErrDrained
-			break dispatch
-		}
-	}
-	close(feed)
-	wg.Wait()
-
-	err := sweepErr(ctx, errs, dispatchErr)
-	// A shard that failed to start cancels the sweep, so the remaining
-	// error may be the cancellation that failure caused; the spawn
-	// failure is the root cause and outranks it.
-	if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		for _, serr := range spawnErrs {
-			if serr != nil {
-				err = serr
-				break
-			}
-		}
-	}
-	return asm.completed(), err
+	re := &RemoteExecutor{Addrs: slots, Dial: e.spawner(stderr), Stderr: stderr, Drain: e.Drain}
+	return re.Execute(ctx, jobs, emit)
 }
 
-// runShard owns one worker process for the life of the sweep: it pulls
-// job indices off feed, round-trips each over the wire, and records
-// results and per-job errors. The returned error covers only failures
-// to run the worker at all — per-job failures (including a worker crash
-// mid-job) are mapped onto the in-flight job's errs slot instead.
-func (e *ShardExecutor) runShard(ctx context.Context, cancel func(), shard int, jobs []Job, feed <-chan int, asm *assembler, errs []error, stderr io.Writer) error {
-	cmd := exec.CommandContext(ctx, e.Argv[0], e.Argv[1:]...)
-	cmd.Env = append(os.Environ(), e.Env...)
-	cmd.Stderr = stderr
-	cmd.WaitDelay = waitDelay
-	stdin, err := cmd.StdinPipe()
-	if err != nil {
-		return fmt.Errorf("harness: shard %d: %w", shard, err)
-	}
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return fmt.Errorf("harness: shard %d: %w", shard, err)
-	}
-	if err := cmd.Start(); err != nil {
-		return fmt.Errorf("harness: shard %d: start worker %s: %w", shard, e.Argv[0], err)
-	}
-	// Closing stdin is the graceful shutdown signal: the worker exits at
-	// EOF. CommandContext kills stragglers once ctx is cancelled, and
-	// WaitDelay bounds the wait either way.
-	defer func() {
-		stdin.Close()
-		cmd.Wait()
-	}()
-
-	fr := newFrameReader(stdout)
-	for {
-		var i int
-		select {
-		case idx, ok := <-feed:
-			if !ok {
-				return nil
-			}
-			i = idx
-		case <-ctx.Done():
-			return nil
-		}
-
-		job := jobs[i]
-		if job.Workload == nil {
-			errs[i] = &JobError{Index: i, WorkloadID: "", Err: fmt.Errorf("nil workload")}
-			cancel()
-			continue
-		}
-		id := job.Workload.ID()
-		fail := func(err error) {
-			// A transport failure during cancellation is a victim of the
-			// kill, not a root cause; report it as the cancellation so
-			// the sweep's error reflects what actually went wrong.
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				err = ctxErr
-			}
-			errs[i] = &JobError{Index: i, WorkloadID: id, Err: err}
-			cancel()
-		}
-
-		if err := EncodeWire(stdin, WireJob{Index: i, WorkloadID: id, Params: job.Params}); err != nil {
-			fail(fmt.Errorf("shard %d: send job: %w", shard, err))
-			return nil
-		}
-		line, readErr := fr.next()
-		if readErr != nil {
-			// A clean EOF here is still a protocol failure — the worker
-			// owed an answer; ErrTruncatedFrame means it died mid-write
-			// and the tear is reported as such instead of being parsed.
-			if errors.Is(readErr, io.EOF) {
-				readErr = io.ErrUnexpectedEOF
-			}
-			// Snapshot cancellation state before cancelling ourselves,
-			// then cancel *before* waiting: a worker that closed stdout
-			// but is still running would otherwise block Wait forever —
-			// only a cancelled CommandContext kills it.
-			ctxErr := ctx.Err()
-			stdin.Close()
-			cancel()
-			waitErr := cmd.Wait()
-			err := fmt.Errorf("shard %d: worker exited before answering job %d: %v (wait: %v)", shard, i, readErr, waitErr)
-			if ctxErr != nil {
-				// The read failed because the sweep was already being
-				// cancelled and the kill tore the pipe down; report the
-				// cancellation, not the teardown.
-				err = ctxErr
-			}
-			errs[i] = &JobError{Index: i, WorkloadID: id, Err: err}
-			return nil
-		}
-		wr, err := DecodeWireResult(line)
+// spawner returns the shard dialer: each call starts one worker process
+// and returns a connection over its stdin and stdout. The parent keeps
+// its own os.Pipe ends, which are pollable, so the executor's handshake
+// and heartbeat deadlines hold a hung child to account. Closing the
+// connection kills the child and reaps it.
+func (e *ShardExecutor) spawner(stderr io.Writer) func(ctx context.Context, slot string) (net.Conn, error) {
+	return func(ctx context.Context, slot string) (net.Conn, error) {
+		inR, inW, err := os.Pipe()
 		if err != nil {
-			fail(fmt.Errorf("shard %d: %w", shard, err))
-			return nil
+			return nil, fmt.Errorf("%s: %w", slot, err)
 		}
-		if wr.Index != i {
-			fail(fmt.Errorf("shard %d: worker answered job %d, want %d", shard, wr.Index, i))
-			return nil
+		outR, outW, err := os.Pipe()
+		if err != nil {
+			inR.Close()
+			inW.Close()
+			return nil, fmt.Errorf("%s: %w", slot, err)
 		}
-		if wr.Error != "" {
-			if wr.Panic {
-				// The worker contained the panic; contain it here too —
-				// record the typed failure and keep the sweep going.
-				errs[i] = &JobError{Index: i, WorkloadID: id, Panic: true, Err: errors.New(wr.Error)}
-				asm.fail(i)
-				continue
-			}
-			errs[i] = &JobError{Index: i, WorkloadID: id, Err: errors.New(wr.Error)}
+		ctx, cancel := context.WithCancel(ctx)
+		cmd := exec.CommandContext(ctx, e.Argv[0], e.Argv[1:]...)
+		cmd.Env = append(os.Environ(), e.Env...)
+		cmd.Stdin, cmd.Stdout, cmd.Stderr = inR, outW, stderr
+		cmd.WaitDelay = waitDelay
+		err = cmd.Start()
+		// The child holds its own copies of these ends now (or never
+		// will); the parent must drop them so EOF reaches each side.
+		inR.Close()
+		outW.Close()
+		if err != nil {
 			cancel()
-			continue
+			inW.Close()
+			outR.Close()
+			return nil, fmt.Errorf("%w %s: %w", errWorkerStart, e.Argv[0], err)
 		}
-		res := *wr.Result
-		if res.WorkloadID == "" {
-			res.WorkloadID = id
-		}
-		asm.complete(i, res)
+		return &pipeConn{r: outR, w: inW, close: func() error {
+			inW.Close()
+			cancel()
+			cmd.Wait()
+			return outR.Close()
+		}}, nil
 	}
 }
+
+// pipeConn is a net.Conn over a byte-stream pair: a spawned worker's
+// stdout and stdin on the executor side, or the worker's own stdin and
+// stdout on the worker side. Deadlines reach the underlying streams
+// when they support them (the executor's os.Pipe ends do); a worker's
+// inherited stdin usually does not, which is fine — the parent bounds a
+// silent child by killing it.
+type pipeConn struct {
+	r     io.Reader
+	w     io.Writer
+	close func() error // nil: Close releases nothing
+
+	once     sync.Once
+	closeErr error
+}
+
+func (c *pipeConn) Read(p []byte) (int, error)  { return c.r.Read(p) }
+func (c *pipeConn) Write(p []byte) (int, error) { return c.w.Write(p) }
+
+func (c *pipeConn) Close() error {
+	c.once.Do(func() {
+		if c.close != nil {
+			c.closeErr = c.close()
+		}
+	})
+	return c.closeErr
+}
+
+func (c *pipeConn) LocalAddr() net.Addr  { return pipeAddr{} }
+func (c *pipeConn) RemoteAddr() net.Addr { return pipeAddr{} }
+
+func (c *pipeConn) SetDeadline(t time.Time) error {
+	return errors.Join(c.SetReadDeadline(t), c.SetWriteDeadline(t))
+}
+
+func (c *pipeConn) SetReadDeadline(t time.Time) error {
+	if d, ok := c.r.(interface{ SetReadDeadline(time.Time) error }); ok {
+		return d.SetReadDeadline(t)
+	}
+	return os.ErrNoDeadline
+}
+
+func (c *pipeConn) SetWriteDeadline(t time.Time) error {
+	if d, ok := c.w.(interface{ SetWriteDeadline(time.Time) error }); ok {
+		return d.SetWriteDeadline(t)
+	}
+	return os.ErrNoDeadline
+}
+
+// pipeAddr names both ends of a pipeConn.
+type pipeAddr struct{}
+
+func (pipeAddr) Network() string { return "pipe" }
+func (pipeAddr) String() string  { return "stdio" }

@@ -1,11 +1,12 @@
 package harness
 
 import (
-	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -15,25 +16,26 @@ import (
 // shardWorkerEnv selects a worker personality when this test binary is
 // re-exec'ed by a ShardExecutor under test (see TestMain):
 //
-//	serve — a faithful worker over shardTestRegistry
-//	crash — reads one job line, then dies without answering
-//	torn  — reads one job line, writes half a result line, then dies
+//	serve          — a faithful worker
+//	crash          — handshakes, reads the executor's full window of two
+//	                 jobs, then dies without answering
+//	torn           — like crash, but writes half a result frame first
+//	crashonce:PATH — the child that creates PATH is a crash worker;
+//	                 every later child (a respawn) serves faithfully
 const shardWorkerEnv = "HARNESS_TEST_WORKER"
 
-// shardTestRegistry is the workload set both sides of the shard tests
-// share: the parent builds jobs from it, and the re-exec'ed worker
-// serves it.
-func shardTestRegistry() *Registry {
-	reg := NewRegistry()
-	for i := 0; i < 24; i++ {
-		if err := reg.Register(echo(fmt.Sprintf("shard/echo%02d", i))); err != nil {
-			panic(err)
-		}
-	}
+// registerShardTestWorkloads fills reg with the workloads both sides of
+// the shard tests share. A shard connection handshakes on the Default
+// registry, so TestMain registers them there in the parent and in every
+// re-exec'ed worker alike.
+func registerShardTestWorkloads(reg *Registry) {
 	must := func(s Spec) {
 		if err := reg.Register(s); err != nil {
 			panic(err)
 		}
+	}
+	for i := 0; i < 24; i++ {
+		must(echo(fmt.Sprintf("shard/echo%02d", i)))
 	}
 	must(spec("shard/fail", func(context.Context, Params) (Result, error) {
 		return Result{}, errors.New("deliberate failure")
@@ -45,26 +47,72 @@ func shardTestRegistry() *Registry {
 		time.Sleep(30 * time.Second)
 		return Result{Text: "slept\n"}, nil
 	}))
-	return reg
+	must(spec("shard/wait", func(_ context.Context, p Params) (Result, error) {
+		// A cross-process gate: mark this job started in dir, then hold
+		// until the test creates dir/release.
+		dir, n := p.Value("dir", ""), p.Value("n", "")
+		if err := os.WriteFile(filepath.Join(dir, "started-"+n), nil, 0o644); err != nil {
+			return Result{}, err
+		}
+		for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+			if _, err := os.Stat(filepath.Join(dir, "release")); err == nil {
+				break
+			}
+		}
+		return Result{Text: "waited n=" + n + "\n"}, nil
+	}))
 }
 
 func TestMain(m *testing.M) {
-	switch os.Getenv(shardWorkerEnv) {
+	registerShardTestWorkloads(Default)
+	mode, arg, _ := strings.Cut(os.Getenv(shardWorkerEnv), ":")
+	switch mode {
+	case "":
+		os.Exit(m.Run())
 	case "serve":
-		if err := ServeWorker(context.Background(), shardTestRegistry(), os.Stdin, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		serveShardWorker()
+	case "crashonce":
+		f, err := os.OpenFile(arg, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+		if err != nil {
+			serveShardWorker()
 		}
-		os.Exit(0)
-	case "crash":
-		bufio.NewScanner(os.Stdin).Scan()
-		os.Exit(3)
-	case "torn":
-		bufio.NewScanner(os.Stdin).Scan()
-		os.Stdout.WriteString(`{"index":0,"result":{"workload`)
-		os.Exit(3)
+		f.Close()
+		brokenShardWorker("crash")
+	default:
+		brokenShardWorker(mode)
 	}
-	os.Exit(m.Run())
+}
+
+func serveShardWorker() {
+	if err := ServeWorker(context.Background(), Default, os.Stdin, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	os.Exit(0)
+}
+
+// brokenShardWorker completes the handshake like a real worker, so the
+// failure lands after a job is in flight, then reads the executor's
+// whole window (two jobs) before dying: the executor has finished
+// sending by then, so the death is always seen as a death, never as a
+// failed send.
+func brokenShardWorker(mode string) {
+	fr := newFrameReader(os.Stdin)
+	if _, err := fr.next(); err != nil {
+		os.Exit(2)
+	}
+	if err := EncodeWire(os.Stdout, HelloFor(Default, RoleWorker)); err != nil {
+		os.Exit(2)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := fr.next(); err != nil {
+			os.Exit(2)
+		}
+	}
+	if mode == "torn" {
+		os.Stdout.WriteString(`{"index":0,"result":{"workload`)
+	}
+	os.Exit(3)
 }
 
 // testShardExecutor re-execs this test binary as the worker command.
@@ -77,14 +125,13 @@ func testShardExecutor(shards int, mode string) *ShardExecutor {
 	}
 }
 
-// shardEchoJobs builds n jobs over the shard test registry's echo
-// workloads with distinct params.
+// shardEchoJobs builds n jobs over the shard test echo workloads with
+// distinct params.
 func shardEchoJobs(t *testing.T, n int) []Job {
 	t.Helper()
-	reg := shardTestRegistry()
 	jobs := make([]Job, n)
 	for i := range jobs {
-		w, err := reg.Lookup(fmt.Sprintf("shard/echo%02d", i%24))
+		w, err := Default.Lookup(fmt.Sprintf("shard/echo%02d", i%24))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,16 +151,7 @@ func TestShardMatchesLocalByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		if len(sharded) != len(local) {
-			t.Fatalf("shards=%d: %d results, local %d", shards, len(sharded), len(local))
-		}
-		for i := range local {
-			a, _ := local[i].JSON()
-			b, _ := sharded[i].JSON()
-			if a != b {
-				t.Fatalf("shards=%d: result %d differs:\n%s\n---\n%s", shards, i, a, b)
-			}
-		}
+		assertSameResults(t, fmt.Sprintf("shards=%d", shards), sharded, local)
 	}
 }
 
@@ -143,8 +181,7 @@ func TestShardEmitStreamsInOrder(t *testing.T) {
 }
 
 func TestShardWorkerErrorIsJobError(t *testing.T) {
-	reg := shardTestRegistry()
-	fail, err := reg.Lookup("shard/fail")
+	fail, err := Default.Lookup("shard/fail")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,62 +209,84 @@ func TestShardWorkerErrorIsJobError(t *testing.T) {
 	}
 }
 
-func TestShardWorkerCrashMapsToInFlightJob(t *testing.T) {
-	jobs := shardEchoJobs(t, 3)
+// runCrashing runs jobs on one shard slot whose every worker dies with
+// the given personality. Each death strands the window, the slot is
+// respawned, and the stranded jobs are re-sent until the re-dispatch
+// budget runs out.
+func runCrashing(t *testing.T, mode string, jobs []Job) *JobError {
+	t.Helper()
 	done := make(chan struct{})
 	var results []Result
 	var err error
 	go func() {
 		defer close(done)
-		results, err = testShardExecutor(1, "crash").Execute(context.Background(), jobs, nil)
+		results, err = testShardExecutor(1, mode).Execute(context.Background(), jobs, nil)
 	}()
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("crashed worker hung the sweep")
-	}
-	if err == nil {
-		t.Fatal("worker crash reported no error")
+		t.Fatalf("%s worker hung the sweep", mode)
 	}
 	var je *JobError
 	if !errors.As(err, &je) {
 		t.Fatalf("want *JobError, got %T: %v", err, err)
 	}
 	if je.Index != 0 {
-		t.Fatalf("crash mapped to job %d, want the in-flight job 0", je.Index)
+		t.Fatalf("%s mapped to job %d, want the in-flight job 0: %v", mode, je.Index, err)
 	}
-	if !strings.Contains(err.Error(), "exited before answering") {
-		t.Fatalf("crash error does not say what happened: %v", err)
+	if !strings.Contains(err.Error(), "re-dispatch budget exhausted after 3 attempts (last worker shard 0") {
+		t.Fatalf("%s did not spend the re-dispatch budget: %v", mode, err)
 	}
 	if len(results) != 0 {
-		t.Fatalf("crash still produced results: %v", results)
+		t.Fatalf("%s still produced results: %v", mode, results)
+	}
+	return je
+}
+
+func TestShardWorkerCrashMapsToInFlightJob(t *testing.T) {
+	je := runCrashing(t, "crash", shardEchoJobs(t, 3))
+	if !strings.Contains(je.Err.Error(), "worker hung up before answering") {
+		t.Fatalf("crash error does not say what happened: %v", je)
 	}
 }
 
 func TestShardTornResultLineIsTruncationNotSilence(t *testing.T) {
-	// A worker that dies mid-write leaves a torn final line. The old line
-	// scanner dropped the fragment silently; the frame reader must name
-	// the truncation in the in-flight job's error.
-	jobs := shardEchoJobs(t, 2)
-	_, err := testShardExecutor(1, "torn").Execute(context.Background(), jobs, nil)
-	if err == nil {
-		t.Fatal("torn result line reported no error")
+	// A worker that dies mid-write leaves a torn final frame. A line
+	// scanner would drop the fragment silently; the frame reader must
+	// name the truncation in the in-flight job's error.
+	je := runCrashing(t, "torn", shardEchoJobs(t, 2))
+	if !strings.Contains(je.Err.Error(), "truncated wire frame") {
+		t.Fatalf("tear not named as truncation: %v", je)
 	}
-	var je *JobError
-	if !errors.As(err, &je) {
-		t.Fatalf("want *JobError, got %T: %v", err, err)
+}
+
+// TestShardCrashedWorkerIsRespawned: a child that dies mid-sweep is
+// replaced by a fresh one, its stranded jobs are re-sent, and the
+// output is byte-identical to the local pool. One slot, so the sweep
+// can only finish on the respawned child.
+func TestShardCrashedWorkerIsRespawned(t *testing.T) {
+	jobs := shardEchoJobs(t, 10)
+	local, err := LocalExecutor{Workers: 2}.Execute(context.Background(), jobs, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if je.Index != 0 {
-		t.Fatalf("tear mapped to job %d, want in-flight job 0", je.Index)
+	var stderr bytes.Buffer
+	ex := testShardExecutor(1, "crashonce:"+filepath.Join(t.TempDir(), "crashed"))
+	ex.Stderr = &stderr
+	sharded, err := ex.Execute(context.Background(), jobs, nil)
+	if err != nil {
+		t.Fatalf("sweep failed across a respawn: %v\n%s", err, stderr.String())
 	}
-	if !strings.Contains(err.Error(), "truncated wire frame") {
-		t.Fatalf("tear not named as truncation: %v", err)
+	assertSameResults(t, "respawned", sharded, local)
+	for _, note := range []string{"worker shard 0 evicted", "worker shard 0 reconnected"} {
+		if !strings.Contains(stderr.String(), note) {
+			t.Fatalf("stderr lacks %q:\n%s", note, stderr.String())
+		}
 	}
 }
 
 func TestShardCancellationKillsStragglers(t *testing.T) {
-	reg := shardTestRegistry()
-	slow, err := reg.Lookup("shard/slow")
+	slow, err := Default.Lookup("shard/slow")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,6 +315,73 @@ func TestShardCancellationKillsStragglers(t *testing.T) {
 	}
 }
 
+// TestShardDrainStopsDispatchLetsInFlightFinish: closing Drain while a
+// child holds the window stops dispatch, the in-flight jobs still land,
+// and the sweep returns that prefix with ErrDrained.
+func TestShardDrainStopsDispatchLetsInFlightFinish(t *testing.T) {
+	wait, err := Default.Lookup("shard/wait")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	jobs := make([]Job, 6)
+	for i := range jobs {
+		jobs[i] = Job{Workload: wait, Params: Params{}.WithValue("dir", dir).WithValue("n", fmt.Sprint(i))}
+	}
+	drain := make(chan struct{})
+	ex := testShardExecutor(1, "serve")
+	ex.Drain = drain
+	type out struct {
+		results []Result
+		err     error
+	}
+	done := make(chan out, 1)
+	go func() {
+		res, err := ex.Execute(context.Background(), jobs, nil)
+		done <- out{res, err}
+	}()
+	started := func() []string {
+		m, _ := filepath.Glob(filepath.Join(dir, "started-*"))
+		return m
+	}
+	for deadline := time.Now().Add(20 * time.Second); len(started()) == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no job started in the worker")
+		}
+	}
+	close(drain)
+	if err := os.WriteFile(filepath.Join(dir, "release"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var got out
+	select {
+	case got = <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("drained sweep never returned")
+	}
+	checkDrained(t, got.results, got.err, len(jobs), "waited n=%d\n")
+	if ran := len(started()); ran > 2 {
+		t.Fatalf("%d jobs ran; dispatch went past the in-flight window after the drain", ran)
+	}
+}
+
+// checkDrained asserts a drained sweep's outcome: ErrDrained, with a
+// non-empty, incomplete prefix of real results.
+func checkDrained(t *testing.T, results []Result, err error, n int, textFmt string) {
+	t.Helper()
+	if !errors.Is(err, ErrDrained) {
+		t.Fatalf("want ErrDrained, got %v", err)
+	}
+	if len(results) == 0 || len(results) == n {
+		t.Fatalf("drained sweep returned %d of %d results; want the in-flight prefix", len(results), n)
+	}
+	for i, r := range results {
+		if want := fmt.Sprintf(textFmt, i); r.Text != want {
+			t.Fatalf("result %d = %q, want %q", i, r.Text, want)
+		}
+	}
+}
+
 func TestShardExecutorRejectsMissingCommand(t *testing.T) {
 	if _, err := (&ShardExecutor{Shards: 2}).Execute(context.Background(), shardEchoJobs(t, 2), nil); err == nil {
 		t.Fatal("executor with no worker command accepted")
@@ -263,12 +389,18 @@ func TestShardExecutorRejectsMissingCommand(t *testing.T) {
 }
 
 func TestShardSpawnFailureSurfaces(t *testing.T) {
-	ex := &ShardExecutor{Shards: 1, Argv: []string{"/no/such/worker-binary"}}
+	// A binary that cannot start does not heal: the failure is final at
+	// once, with no respawn schedule waited out.
+	ex := &ShardExecutor{Shards: 2, Argv: []string{"/no/such/worker-binary"}}
+	start := time.Now()
 	_, err := ex.Execute(context.Background(), shardEchoJobs(t, 2), nil)
 	if err == nil {
 		t.Fatal("unspawnable worker reported no error")
 	}
 	if !strings.Contains(err.Error(), "start worker") {
 		t.Fatalf("spawn failure unclear: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > DefaultRedialBackoff {
+		t.Fatalf("spawn failure took %v; the respawn schedule was waited out", elapsed)
 	}
 }

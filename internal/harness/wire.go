@@ -1,24 +1,29 @@
 package harness
 
-// The JSONL wire protocol between a sweep engine and its workers. A
-// parent writes one WireJob per line; the worker answers each with one
-// WireResult line. Two transports speak it:
+// The JSONL wire protocol between a sweep engine and its workers: one
+// transport, RemoteExecutor (remote.go) on the executor side and
+// RemoteWorkerServer.serveConn (remoteworker.go) on the worker side,
+// with two ways to reach a worker:
 //
-//   - ShardExecutor (shard.go) over a child process's stdin/stdout,
-//     strictly request/response per worker: one job at a time, so the
-//     parent always knows which job index an answer — or a crash —
-//     belongs to.
-//   - RemoteExecutor (remote.go) over TCP to `hpcc worker -listen`
-//     processes. The connection opens with a WireHello handshake (both
-//     sides exchange registry fingerprints and kernel versions; a
-//     mismatched worker is refused), responses travel as WireResponse
-//     frames (a WireResult or a heartbeat) in completion order, and a
-//     responseTracker holds every answer to the outstanding-request set
-//     so duplicated, out-of-range or unsolicited indexes are protocol
-//     breaches rather than silent corruption.
+//   - over TCP to `hpcc worker -listen` processes (-remote), and
+//   - over a spawned child's stdin and stdout (-shards; ShardExecutor in
+//     shard.go dials by starting `hpcc worker`, which serves the same
+//     loop on its stdio).
+//
+// Either way the connection opens with a WireHello handshake (both sides
+// exchange registry fingerprints and kernel versions; a mismatched
+// worker is refused). The executor then pipelines WireJob frames, and
+// the worker answers with WireResponse frames (a WireResult or a
+// heartbeat) in completion order; a responseTracker holds every answer
+// to the outstanding-request set so duplicated, out-of-range or
+// unsolicited indexes are protocol breaches rather than silent
+// corruption.
 //
 // Workloads travel by registry ID, so both sides must be built with the
 // same workloads registered — that is exactly what the handshake checks.
+// The fleet token guards network listeners only: a stdio handshake
+// carries none, because the parent that spawned the child is its only
+// peer.
 
 import (
 	"bufio"
@@ -35,8 +40,8 @@ import (
 	"strings"
 )
 
-// WireJob is one serialized sweep job: the line a sharding parent writes
-// to a worker's stdin.
+// WireJob is one serialized sweep job: the frame an executor sends a
+// worker.
 type WireJob struct {
 	// Index is the job's position in the parent's sweep, echoed back in
 	// the WireResult so results reassemble in job order.
@@ -47,9 +52,9 @@ type WireJob struct {
 	Params Params `json:"params"`
 }
 
-// WireResult is one worker answer: the line a worker writes to stdout
-// after running (or failing to run) a job. Exactly one of Result and
-// Error is set.
+// WireResult is one worker answer, sent inside a WireResponse after
+// running (or failing to run) a job. Exactly one of Result and Error is
+// set.
 type WireResult struct {
 	Index  int     `json:"index"`
 	Result *Result `json:"result,omitempty"`
@@ -90,20 +95,7 @@ func DecodeWireJob(line []byte) (WireJob, error) {
 	return j, nil
 }
 
-// DecodeWireResult parses and validates one WireResult line.
-func DecodeWireResult(line []byte) (WireResult, error) {
-	var r WireResult
-	if err := json.Unmarshal(line, &r); err != nil {
-		return WireResult{}, fmt.Errorf("harness: decode wire result: %w", err)
-	}
-	if err := checkWireResult(r); err != nil {
-		return WireResult{}, err
-	}
-	return r, nil
-}
-
-// checkWireResult holds the checks every decoded WireResult passes,
-// whether it arrived as a bare line or inside a WireResponse frame.
+// checkWireResult holds the checks every decoded WireResult passes.
 func checkWireResult(r WireResult) error {
 	if r.Index < 0 {
 		return fmt.Errorf("harness: wire result has negative index %d", r.Index)
@@ -165,7 +157,7 @@ func (fr *frameReader) next() ([]byte, error) {
 			}
 			return nil, fmt.Errorf("%w (stream ended %d bytes into an unterminated line)", ErrTruncatedFrame, len(buf))
 		default:
-			//lint:ignore hpccwire the heartbeat loop type-asserts net.Error on this error to tell a read deadline from a dead peer; wrapping would hide it
+			//lint:ignore hpccwire transport errors pass through verbatim: the executor's eviction notes quote them, and the heartbeat loop matches a read deadline on them
 			return nil, err
 		}
 	}
@@ -197,37 +189,18 @@ func runWireJob(ctx context.Context, reg *Registry, job WireJob) WireResult {
 	return out
 }
 
-// ServeWorker runs the worker side of the shard protocol: it reads
-// WireJob lines from r until EOF, resolves each workload in reg, runs
-// it, and answers with a WireResult line on w. A malformed or truncated
-// job line is a protocol breach and kills the worker with an error; the
-// parent maps the death onto the in-flight job. This is what
-// `hpcc worker` (without -listen) runs.
+// ServeWorker serves the wire protocol over one byte-stream pair —
+// normally a worker process's stdin and stdout, which is what `hpcc
+// worker` without -listen runs. It is the TCP worker's connection loop
+// over a pipe: hello first, then concurrent jobs and heartbeats until
+// the executor closes r. The stream carries no fleet token.
 func ServeWorker(ctx context.Context, reg *Registry, r io.Reader, w io.Writer) error {
-	fr := newFrameReader(r)
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		line, err := fr.next()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("harness: worker read jobs: %w", err)
-		}
-		job, err := DecodeWireJob(line)
-		if err != nil {
-			return err
-		}
-		if err := EncodeWire(w, runWireJob(ctx, reg, job)); err != nil {
-			return err
-		}
-	}
+	srv := &RemoteWorkerServer{Registry: reg}
+	return srv.serveConn(ctx, &pipeConn{r: r, w: w})
 }
 
-// WireProto identifies the handshake revision RemoteExecutor and the
-// remote worker speak. Bump it when the connection-level protocol (not
+// WireProto identifies the handshake revision RemoteExecutor and its
+// workers speak. Bump it when the connection-level protocol (not
 // the job payloads) changes incompatibly.
 const WireProto = 1
 
@@ -237,7 +210,7 @@ const (
 	RoleWorker   = "worker"
 )
 
-// WireHello is the first frame each side of a remote connection sends:
+// WireHello is the first frame each side of a connection sends:
 // the protocol revision plus the identity of its workload registry —
 // the condensed fingerprint and the full id → kernel-version map, so a
 // mismatch can be reported naming the exact workloads and versions that
@@ -366,20 +339,16 @@ func helloDiffs(local, remote map[string]string) []string {
 	return diffs
 }
 
-// WireResponse is one frame of a remote worker's response stream:
-// either a heartbeat (proof of life while long jobs run) or a
-// WireResult. The result fields embed flat, so a non-heartbeat frame is
-// byte-compatible with the stdin/stdout worker's WireResult lines.
+// WireResponse is one frame of a worker's response stream: either a
+// heartbeat (proof of life while long jobs run) or a WireResult, whose
+// fields embed flat.
 type WireResponse struct {
 	Heartbeat bool `json:"heartbeat,omitempty"`
 	WireResult
 }
 
 // DecodeWireResponse parses one response frame; result validation is
-// skipped for heartbeats, which carry no payload. The frame is parsed
-// once: the embedded WireResult's fields are a subset of the frame's, so
-// it decodes to exactly what DecodeWireResult would return for the same
-// line, and gets the same checks.
+// skipped for heartbeats, which carry no payload.
 func DecodeWireResponse(line []byte) (WireResponse, error) {
 	var r WireResponse
 	if err := json.Unmarshal(line, &r); err != nil {

@@ -3,8 +3,10 @@ package harness
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -38,14 +40,14 @@ func TestWireResultRoundTrip(t *testing.T) {
 	res := Result{WorkloadID: "x", Title: "T", Text: "body\n"}
 	res.AddMetric("gflops", 13, "GFLOPS")
 	var buf bytes.Buffer
-	if err := EncodeWire(&buf, WireResult{Index: 3, Result: &res}); err != nil {
+	if err := EncodeWire(&buf, WireResponse{WireResult: WireResult{Index: 3, Result: &res}}); err != nil {
 		t.Fatal(err)
 	}
-	out, err := DecodeWireResult(buf.Bytes())
+	out, err := DecodeWireResponse(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Index != 3 || out.Result == nil || out.Error != "" {
+	if out.Heartbeat || out.Index != 3 || out.Result == nil || out.Error != "" {
 		t.Fatalf("round trip mismatch: %+v", out)
 	}
 	// The result must survive the wire byte-for-byte: identical JSON is
@@ -73,10 +75,53 @@ func TestWireDecodeRejectsInvalid(t *testing.T) {
 		{"result neither", `{"index":0}`},
 		{"result both", `{"index":0,"result":{"workload":"w","text":""},"error":"x"}`},
 	} {
-		if _, err := DecodeWireResult([]byte(tc.line)); err == nil {
+		if _, err := DecodeWireResponse([]byte(tc.line)); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
+}
+
+// serveFrames runs ServeWorker over an in-memory stream: the executor's
+// hello for reg, then frames. It returns the worker's hello and its
+// result frames ordered by job index (the worker answers in completion
+// order), with heartbeats dropped.
+func serveFrames(t *testing.T, reg *Registry, frames ...any) (WireHello, []WireResponse, error) {
+	t.Helper()
+	var in, out bytes.Buffer
+	for i, f := range append([]any{HelloFor(reg, RoleExecutor)}, frames...) {
+		if err := EncodeWire(&in, f); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+	}
+	serveErr := ServeWorker(context.Background(), reg, &in, &out)
+	fr := newFrameReader(&out)
+	line, err := fr.next()
+	if err != nil {
+		t.Fatalf("worker sent no hello: %v", err)
+	}
+	hello, err := DecodeWireHello(line)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resps []WireResponse
+	for {
+		line, err := fr.next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := DecodeWireResponse(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.Heartbeat {
+			resps = append(resps, r)
+		}
+	}
+	sort.Slice(resps, func(i, j int) bool { return resps[i].Index < resps[j].Index })
+	return hello, resps, serveErr
 }
 
 func TestServeWorkerRunsJobs(t *testing.T) {
@@ -90,35 +135,28 @@ func TestServeWorkerRunsJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var in, out bytes.Buffer
-	for i, j := range []WireJob{
-		{Index: 0, WorkloadID: "w/echo", Params: Params{}.WithValue("n", "7")},
-		{Index: 1, WorkloadID: "w/fail"},
-		{Index: 2, WorkloadID: "w/missing"},
-	} {
-		if err := EncodeWire(&in, j); err != nil {
-			t.Fatalf("job %d: %v", i, err)
-		}
-	}
-	if err := ServeWorker(context.Background(), reg, &in, &out); err != nil {
+	hello, rs, err := serveFrames(t, reg,
+		WireJob{Index: 0, WorkloadID: "w/echo", Params: Params{}.WithValue("n", "7")},
+		WireJob{Index: 1, WorkloadID: "w/fail"},
+		WireJob{Index: 2, WorkloadID: "w/missing"},
+	)
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("want 3 result lines, got %d:\n%s", len(lines), out.String())
+	if err := CheckHello(HelloFor(reg, RoleExecutor), hello); err != nil || hello.TokenDigest != "" {
+		t.Fatalf("stdio worker hello %+v: %v", hello, err)
 	}
-	r0, err := DecodeWireResult([]byte(lines[0]))
-	if err != nil || r0.Index != 0 || r0.Result == nil || !strings.Contains(r0.Result.Text, "n=7") {
-		t.Fatalf("result 0 wrong: %+v, %v", r0, err)
+	if len(rs) != 3 {
+		t.Fatalf("want 3 results, got %+v", rs)
 	}
-	r1, err := DecodeWireResult([]byte(lines[1]))
-	if err != nil || r1.Index != 1 || !strings.Contains(r1.Error, "kernel diverged") {
-		t.Fatalf("result 1 wrong: %+v, %v", r1, err)
+	if r0 := rs[0]; r0.Index != 0 || r0.Result == nil || !strings.Contains(r0.Result.Text, "n=7") {
+		t.Fatalf("result 0 wrong: %+v", r0)
 	}
-	r2, err := DecodeWireResult([]byte(lines[2]))
-	if err != nil || r2.Index != 2 || !strings.Contains(r2.Error, "unknown workload") {
-		t.Fatalf("result 2 wrong: %+v, %v", r2, err)
+	if r1 := rs[1]; r1.Index != 1 || !strings.Contains(r1.Error, "kernel diverged") {
+		t.Fatalf("result 1 wrong: %+v", r1)
+	}
+	if r2 := rs[2]; r2.Index != 2 || !strings.Contains(r2.Error, "unknown workload") {
+		t.Fatalf("result 2 wrong: %+v", r2)
 	}
 }
 
@@ -127,13 +165,21 @@ func TestServeWorkerDiesOnProtocolBreach(t *testing.T) {
 	if err := reg.Register(echo("w/echo")); err != nil {
 		t.Fatal(err)
 	}
-	in := strings.NewReader("this is not a wire job\n")
+	// A garbage hello is refused before the worker says anything.
 	var out bytes.Buffer
-	if err := ServeWorker(context.Background(), reg, in, &out); err == nil {
-		t.Fatal("malformed job line accepted")
+	if err := ServeWorker(context.Background(), reg, strings.NewReader("this is not a wire hello\n"), &out); err == nil {
+		t.Fatal("malformed hello accepted")
 	}
 	if out.Len() != 0 {
-		t.Fatalf("worker answered a malformed job: %q", out.String())
+		t.Fatalf("worker answered a malformed hello: %q", out.String())
+	}
+	// After a good handshake, a garbage job line kills the connection.
+	_, rs, err := serveFrames(t, reg, json.RawMessage(`"this is not a wire job"`))
+	if err == nil {
+		t.Fatal("malformed job line accepted")
+	}
+	if len(rs) != 0 {
+		t.Fatalf("worker answered a malformed job: %+v", rs)
 	}
 }
 
@@ -144,19 +190,12 @@ func TestServeWorkerStampsWorkloadID(t *testing.T) {
 	})); err != nil {
 		t.Fatal(err)
 	}
-	var in, out bytes.Buffer
-	if err := EncodeWire(&in, WireJob{Index: 0, WorkloadID: "w/anon"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ServeWorker(context.Background(), reg, &in, &out); err != nil {
-		t.Fatal(err)
-	}
-	r, err := DecodeWireResult(bytes.TrimSpace(out.Bytes()))
+	_, rs, err := serveFrames(t, reg, WireJob{Index: 0, WorkloadID: "w/anon"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Result == nil || r.Result.WorkloadID != "w/anon" {
-		t.Fatalf("worker did not stamp the workload ID: %+v", r)
+	if len(rs) != 1 || rs[0].Result == nil || rs[0].Result.WorkloadID != "w/anon" {
+		t.Fatalf("worker did not stamp the workload ID: %+v", rs)
 	}
 }
 
