@@ -2,6 +2,7 @@ package cg
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/harness"
 	"repro/internal/machine"
@@ -42,6 +43,9 @@ func runWorkload(ctx context.Context, p harness.Params) (harness.Result, error) 
 	procs, err := p.Int("procs", 64)
 	if err != nil {
 		return harness.Result{}, err
+	}
+	if procs < 1 {
+		return harness.Result{}, fmt.Errorf("cg: procs must be >= 1 (got %d)", procs)
 	}
 	out, err := SolveDistributed(Config{
 		N: n, MaxIters: iters, Procs: procs, Model: machine.Delta(), Phantom: true, Ctx: ctx,

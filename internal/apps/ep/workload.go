@@ -2,6 +2,7 @@ package ep
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/harness"
 	"repro/internal/machine"
@@ -37,6 +38,9 @@ func runWorkload(ctx context.Context, p harness.Params) (harness.Result, error) 
 	procs, err := p.Int("procs", 64)
 	if err != nil {
 		return harness.Result{}, err
+	}
+	if n < 1 || procs < 1 {
+		return harness.Result{}, fmt.Errorf("ep: n and procs must be >= 1 (got n=%d procs=%d)", n, procs)
 	}
 	out, err := Distributed(Config{
 		N: uint64(n), Procs: procs, Model: machine.Delta(), Phantom: true, Ctx: ctx,

@@ -2,6 +2,7 @@ package nbody
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/harness"
 	"repro/internal/machine"
@@ -36,6 +37,9 @@ func runWorkload(ctx context.Context, p harness.Params) (harness.Result, error) 
 	procs, err := p.Int("procs", 64)
 	if err != nil {
 		return harness.Result{}, err
+	}
+	if procs < 1 {
+		return harness.Result{}, fmt.Errorf("nbody: procs must be >= 1 (got %d)", procs)
 	}
 	seed := p.Seed
 	if seed == 0 {

@@ -2,6 +2,7 @@ package shallow
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/harness"
 	"repro/internal/machine"
@@ -42,6 +43,9 @@ func runWorkload(ctx context.Context, p harness.Params) (harness.Result, error) 
 	procs, err := p.Int("procs", 64)
 	if err != nil {
 		return harness.Result{}, err
+	}
+	if procs < 1 {
+		return harness.Result{}, fmt.Errorf("shallow: procs must be >= 1 (got %d)", procs)
 	}
 	out, err := RunDistributed(Config{
 		NX: n, NY: n, Steps: steps, Procs: procs,

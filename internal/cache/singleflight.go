@@ -8,7 +8,10 @@ package cache
 // miss (the entry is only written after the run) and the "cache" would
 // multiply load exactly when it matters most.
 
-import "sync"
+import (
+	"errors"
+	"sync"
+)
 
 // Flight deduplicates concurrent calls by key. The zero value is ready
 // to use; a Flight must not be copied after first use.
@@ -29,7 +32,9 @@ type flightCall struct {
 // result instead, with shared=true. The result of a call is delivered to
 // every waiter verbatim, errors included; a new call with the same key
 // after the first completes runs fn again (results are not cached here —
-// that is the Cache's job).
+// that is the Cache's job). If fn panics, the panic continues in the
+// caller that ran it, its waiters get an error, and the key is free for
+// the next call.
 func (f *Flight) Do(key string, fn func() (any, error)) (val any, shared bool, err error) {
 	f.mu.Lock()
 	if c, ok := f.calls[key]; ok {
@@ -45,13 +50,21 @@ func (f *Flight) Do(key string, fn func() (any, error)) (val any, shared bool, e
 	f.calls[key] = c
 	f.mu.Unlock()
 
+	// Deferred, so a panicking fn cannot leave its waiters blocked
+	// forever and the key poisoned. Unregister before waking the
+	// waiters: a Do arriving after the wake must start a fresh call, not
+	// join one that has already finished.
+	defer func() {
+		f.mu.Lock()
+		delete(f.calls, key)
+		f.mu.Unlock()
+		close(c.done)
+	}()
+	c.err = errFlightPanicked
 	c.val, c.err = fn()
-
-	// Unregister before waking the waiters: a Do arriving after the wake
-	// must start a fresh call, not join one that has already finished.
-	f.mu.Lock()
-	delete(f.calls, key)
-	f.mu.Unlock()
-	close(c.done)
 	return c.val, false, c.err
 }
+
+// errFlightPanicked is what waiters receive when the call they joined
+// panicked instead of returning.
+var errFlightPanicked = errors.New("cache: coalesced call panicked")

@@ -103,3 +103,67 @@ func TestFlightErrorsReachEveryWaiterThenClear(t *testing.T) {
 		t.Fatalf("key stayed poisoned after an error: v=%v shared=%v err=%v", v, shared, err)
 	}
 }
+
+func TestFlightSurvivesPanickingCall(t *testing.T) {
+	var f Flight
+	started := make(chan struct{})
+	release := make(chan struct{})
+	leader := make(chan any, 1)
+	go func() {
+		defer func() { leader <- recover() }()
+		f.Do("k", func() (any, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-started
+	waiter := make(chan error, 1)
+	go func() {
+		_, _, err := f.Do("k", func() (any, error) { return "wrong flight", nil })
+		waiter <- err
+	}()
+	// Panic only once the waiter has joined the leader's call.
+	for {
+		f.mu.Lock()
+		joined := f.calls["k"] != nil && f.calls["k"].waiters == 1
+		f.mu.Unlock()
+		if joined {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+
+	timeout := time.After(10 * time.Second)
+	select {
+	case v := <-leader:
+		if v != "boom" {
+			t.Fatalf("leader recovered %v, want the panic to keep unwinding", v)
+		}
+	case <-timeout:
+		t.Fatal("leader never returned")
+	}
+	select {
+	case err := <-waiter:
+		if !errors.Is(err, errFlightPanicked) {
+			t.Fatalf("waiter got %v, want errFlightPanicked", err)
+		}
+	case <-timeout:
+		t.Fatal("waiter blocked forever on a panicked call")
+	}
+	// The key is not poisoned: the next call runs fn afresh.
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		v, shared, err := f.Do("k", func() (any, error) { return "fresh", nil })
+		if err != nil || shared || v != "fresh" {
+			t.Errorf("key poisoned after a panic: v=%v shared=%v err=%v", v, shared, err)
+		}
+	}()
+	select {
+	case <-done:
+	case <-timeout:
+		t.Fatal("Do after a panicked call hung")
+	}
+}

@@ -83,35 +83,3 @@ func cmdCache(_ context.Context, args []string, stdout, stderr io.Writer) error 
 		c.Dir(), st.Evicted, st.FreedBytes, st.Kept, st.KeptBytes)
 	return nil
 }
-
-// runCached runs one workload through the cache: a hit skips the run, a
-// miss runs and records. A nil cache degrades to a plain run. A cache
-// write failure is a stderr note, never a command failure — the result is
-// already in hand.
-func runCached(ctx context.Context, c *cache.Cache, w harness.Workload, p harness.Params, stderr io.Writer) (harness.Result, error) {
-	if c == nil {
-		res, err := w.Run(ctx, p)
-		if err == nil && res.WorkloadID == "" {
-			res.WorkloadID = w.ID()
-		}
-		return res, err
-	}
-	version := harness.VersionOf(w)
-	if res, ok := c.Get(w.ID(), p, version); ok {
-		if res.WorkloadID == "" {
-			res.WorkloadID = w.ID()
-		}
-		return res, nil
-	}
-	res, err := w.Run(ctx, p)
-	if err != nil {
-		return res, err
-	}
-	if res.WorkloadID == "" {
-		res.WorkloadID = w.ID()
-	}
-	if perr := c.Put(w.ID(), p, version, res); perr != nil {
-		fmt.Fprintf(stderr, "hpcc: %v\n", perr)
-	}
-	return res, nil
-}

@@ -19,12 +19,13 @@
 //
 // Each workload package registers itself with repro/internal/harness at
 // init time (the blank imports below pull every family in). The
-// subcommands then only ever talk to the registry: list walks it, run
-// looks one workload up, and report/sweep hand Jobs to a
-// harness.Executor — the in-process pool (-j), or the wire executor,
-// which with -shards N re-execs this binary as N `hpcc worker` children
-// and speaks the JSONL wire protocol over their stdin/stdout, and with
-// -remote speaks it over TCP to a fleet. Every executor assembles
+// subcommands then only ever talk to the registry: list walks it, and
+// run, report, sweep, resume and the legacy tools build a job list and
+// hand it to one driver (driver.go) over a harness.Executor — for run a
+// one-worker in-process pool, for report and sweep the pool (-j) or the
+// wire executor, which with -shards N re-execs this binary as N `hpcc
+// worker` children and speaks the JSONL wire protocol over their
+// stdin/stdout, and with -remote speaks it over TCP to a fleet. Every executor assembles
 // results in job order and streams each finished prefix as it
 // completes, so output is byte-identical at any -j, -shards or -remote
 // while long sweeps show progress. With -store, run/sweep/report

@@ -17,10 +17,8 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/journal"
-	"repro/internal/nx"
 )
 
 // journalFlags carries the crash-safety flags common to run, sweep and
@@ -29,6 +27,7 @@ type journalFlags struct {
 	dir    string
 	resume bool
 	jnl    *journal.Journal
+	done   map[int]harness.Result // completed results to replay
 }
 
 func (jf *journalFlags) register(fs *flag.FlagSet) {
@@ -45,10 +44,12 @@ func (jf *journalFlags) validate() error {
 	return nil
 }
 
-// journalHeader snapshots the identity of one invocation: the job list
-// plus every knob that affects the bytes a job computes. The registry
-// fingerprint and the nx collective/shard configuration are read from
-// the live process, so apply() calls must precede this.
+// journalHeader snapshots the identity of one invocation: the job list,
+// the output form and the registry fingerprint of the live process.
+// The header's Collectives and SimShards fields stay unset: output never
+// depended on either, and a journal that records them (written by an
+// older binary) still verifies, because Open hashes each header's own
+// fields.
 func journalHeader(mode string, jobs []harness.Job, jsonOut bool) journal.Header {
 	hj := make([]journal.Job, len(jobs))
 	for i, j := range jobs {
@@ -61,8 +62,6 @@ func journalHeader(mode string, jobs []harness.Job, jsonOut bool) journal.Header
 	return journal.Header{
 		Mode:        mode,
 		Fingerprint: harness.Default.Fingerprint(),
-		Collectives: nx.DefaultCollectives().String(),
-		SimShards:   nx.DefaultShards(),
 		JSON:        jsonOut,
 		Jobs:        hj,
 		Time:        time.Now().UTC(),
@@ -70,13 +69,13 @@ func journalHeader(mode string, jobs []harness.Job, jsonOut bool) journal.Header
 }
 
 // open starts (or with -resume, reopens) the journal for this
-// invocation and returns the already-completed results to replay. A
-// no-op returning nil without -journal. An existing journal without
-// -resume is an error — silently appending a second run into it could
-// interleave two attempts' results.
-func (jf *journalFlags) open(mode string, jobs []harness.Job, jsonOut bool, stderr io.Writer) (map[int]harness.Result, error) {
-	if jf.dir == "" {
-		return nil, nil
+// invocation and keeps the already-completed results to replay. A no-op
+// without -journal or when the journal is already open (hpcc resume).
+// An existing journal without -resume is an error — silently appending
+// a second run into it could interleave two attempts' results.
+func (jf *journalFlags) open(mode string, jobs []harness.Job, jsonOut bool, stderr io.Writer) error {
+	if jf.dir == "" || jf.jnl != nil {
+		return nil
 	}
 	h := journalHeader(mode, jobs, jsonOut)
 	path := journal.Path(jf.dir, h.Identity())
@@ -84,32 +83,32 @@ func (jf *journalFlags) open(mode string, jobs []harness.Job, jsonOut bool, stde
 		j, _, done, err := journal.Open(path, stderr)
 		if err == nil {
 			fmt.Fprintf(stderr, "hpcc: resuming journal %s: %d of %d job(s) already complete\n", path, len(done), len(jobs))
-			jf.jnl = j
-			return done, nil
+			jf.jnl, jf.done = j, done
+			return nil
 		}
 		if !errors.Is(err, fs.ErrNotExist) {
-			return nil, err
+			return err
 		}
 		fmt.Fprintf(stderr, "hpcc: no journal for this invocation in %s; starting fresh\n", jf.dir)
 	}
 	j, err := journal.Create(jf.dir, h)
 	if err != nil {
 		if errors.Is(err, journal.ErrExists) {
-			return nil, fmt.Errorf("%w; pass -resume to continue it, or remove the file", err)
+			return fmt.Errorf("%w; pass -resume to continue it, or remove the file", err)
 		}
-		return nil, err
+		return err
 	}
 	jf.jnl = j
-	return nil, nil
+	return nil
 }
 
 // wrap layers the checkpointing executor onto ex; a no-op without an
 // open journal.
-func (jf *journalFlags) wrap(ex harness.Executor, done map[int]harness.Result) harness.Executor {
+func (jf *journalFlags) wrap(ex harness.Executor) harness.Executor {
 	if jf.jnl == nil {
 		return ex
 	}
-	return &harness.JournalingExecutor{Inner: ex, Sink: jf.jnl, Done: done}
+	return &harness.JournalingExecutor{Inner: ex, Sink: jf.jnl, Done: jf.done}
 }
 
 // finish closes the journal out: a clean run removes it (the checkpoint
@@ -143,40 +142,6 @@ type drainFlags struct{ grace time.Duration }
 func (df *drainFlags) register(fs *flag.FlagSet) {
 	fs.DurationVar(&df.grace, "drain", 5*time.Second,
 		"on SIGINT/SIGTERM, let in-flight jobs finish for up to this long before hard-cancelling (0 = cancel immediately)")
-}
-
-// wrap derives the context jobs run under: it outlives ctx by the grace
-// period, while the executor's drain channel (ctx.Done()) stops dispatch
-// at the signal.
-func (df *drainFlags) wrap(ctx context.Context) (context.Context, context.CancelFunc) {
-	return harness.WithDrain(ctx, df.grace)
-}
-
-// persistableErr reports whether a failed sweep's completed prefix is
-// still worth persisting to the run store: a graceful drain, a
-// cancellation or budget expiry, or a contained panic all leave a
-// trustworthy prefix of real results, where an ordinary workload error
-// means the invocation's output is simply wrong.
-func persistableErr(err error) bool {
-	if errors.Is(err, harness.ErrDrained) ||
-		errors.Is(err, context.Canceled) ||
-		errors.Is(err, context.DeadlineExceeded) {
-		return true
-	}
-	var je *harness.JobError
-	return errors.As(err, &je) && je.Panic
-}
-
-// persistPrefix writes the completed prefix of an interrupted sweep to
-// the run store (a no-op without -store). The context is detached from
-// cancellation: the whole point is persisting after ctx died.
-func (sf *storeFlags) persistPrefix(ctx context.Context, results []harness.Result, params func(int) harness.Params, stderr io.Writer) {
-	if len(results) == 0 {
-		return
-	}
-	if err := sf.persistResults(context.WithoutCancel(ctx), results, params, stderr); err != nil {
-		fmt.Fprintf(stderr, "hpcc: persisting completed prefix: %v\n", err)
-	}
 }
 
 func cmdResume(ctx context.Context, args []string, stdout, stderr io.Writer) error {
@@ -229,14 +194,6 @@ func cmdResume(ctx context.Context, args []string, stdout, stderr io.Writer) err
 		return fmt.Errorf("%w: journal %s was written by registry fingerprint %s, this binary is %s (results would not be comparable; rerun instead of resuming)",
 			journal.ErrIdentityMismatch, path, h.Fingerprint, fp)
 	}
-	// Re-apply the execution configuration the interrupted invocation
-	// ran under, so the remainder computes identical bytes.
-	if err := (&collectivesFlags{mode: h.Collectives}).apply(); err != nil {
-		j.Close()
-		return err
-	}
-	// h.SimShards is not applied: output never depended on the engine's
-	// shard count, so a journal recording any count resumes as is.
 	jobList := make([]harness.Job, len(h.Jobs))
 	for i, hj := range h.Jobs {
 		w, lerr := harness.Lookup(hj.WorkloadID)
@@ -252,63 +209,26 @@ func cmdResume(ctx context.Context, args []string, stdout, stderr io.Writer) err
 		return err
 	}
 	fmt.Fprintf(stderr, "hpcc: resuming %s %s: %d of %d job(s) already complete\n", h.Mode, h.Hash, len(done), len(jobList))
-
 	inner, err := newExecutor(*shards, *jobs, *remote, tf.token, ctx.Done(), stderr)
 	if err != nil {
 		j.Close()
 		return err
 	}
-	jf := &journalFlags{dir: *dir, jnl: j}
-	ex := jf.wrap(wrapExecutor(inner, resultCache), done)
-
-	jobCtx, stopGrace := df.wrap(ctx)
-	defer stopGrace()
-	runBase, cancelBudget := bf.apply(jobCtx)
-	defer cancelBudget()
-	runCtx, cancelRun := context.WithCancel(runBase)
-	defer cancelRun()
-
-	// Stream text output exactly as the interrupted command would have:
-	// replayed results print first, then the live remainder as its
-	// prefix completes — byte-identical to an uninterrupted run.
-	jsonOut := h.JSON
-	emit, emitErr := streamEmitter(&jsonOut, cancelRun, func(r harness.Result) error {
-		switch h.Mode {
-		case "report":
-			return core.WriteResult(stdout, r)
-		case "run":
-			_, werr := io.WriteString(stdout, r.Text)
-			return werr
-		default:
-			return writeSweepResult(stdout, r)
-		}
-	})
-	results, err := ex.Execute(runCtx, jobList, emit)
-	if werr := *emitErr; werr != nil {
-		jf.finish(werr, stderr)
-		return werr
-	}
-	if err != nil {
-		if persistableErr(err) {
-			sf.persistPrefix(ctx, results, func(i int) harness.Params { return jobList[i].Params }, stderr)
-		}
-		jf.finish(err, stderr)
-		return bf.explain(err)
-	}
-	if jsonOut {
-		// `run -json` prints one object, the portfolio modes an array.
-		if h.Mode == "run" && len(results) == 1 {
-			if err := writeResult(stdout, results[0], true); err != nil {
-				jf.finish(err, stderr)
-				return err
-			}
-		} else if err := writeJSON(stdout, results); err != nil {
-			jf.finish(err, stderr)
-			return err
-		}
-	}
-	jf.finish(nil, stderr)
-	return sf.persistResults(ctx, results, func(i int) harness.Params { return jobList[i].Params }, stderr)
+	// The driver renders the remainder exactly as the interrupted
+	// command would have: replayed results print first, then the live
+	// remainder as its prefix completes — byte-identical to an
+	// uninterrupted run.
+	return jobRun{
+		mode:    h.Mode,
+		jobs:    jobList,
+		jsonOut: h.JSON,
+		exec:    inner,
+		cache:   resultCache,
+		journal: journalFlags{dir: *dir, jnl: j, done: done},
+		store:   sf,
+		budget:  bf,
+		grace:   df.grace,
+	}.drive(ctx, stdout, stderr)
 }
 
 // pickJournal resolves a journal reference (an identity-hash prefix, or

@@ -7,12 +7,14 @@ package cli
 
 import (
 	"context"
+	"fmt"
+	"io"
+	"os"
 	"strings"
 	"testing"
 
 	"repro/internal/harness"
 	"repro/internal/journal"
-	"repro/internal/nx"
 )
 
 // sweepJobs mirrors the job list `hpcc sweep -ids <ids> -quick` builds.
@@ -99,30 +101,66 @@ func TestResumeFinishesInterruptedSweepByteIdentical(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("plain sweep exit %d", code)
 	}
-	// Journals written by older binaries with a sharded engine record
-	// their shard count; output never depended on it, so any count
-	// resumes.
-	for _, shards := range []int{nx.DefaultShards(), 4} {
+	// Journals written by older binaries record the collective engine
+	// and the engine's shard count in their header. Output never
+	// depended on either, so such a journal resumes as is, whatever it
+	// recorded.
+	for _, old := range []struct {
+		collectives string
+		shards      int
+	}{{"", 0}, {"fused", 1}, {"tree", 4}} {
+		name := fmt.Sprintf("collectives=%q shards=%d", old.collectives, old.shards)
 		dir := t.TempDir()
 		jobs := sweepJobs(t, "E1", "E3")
 		h := journalHeader("sweep", jobs, false)
-		h.SimShards = shards
+		h.Collectives, h.SimShards = old.collectives, old.shards
 		interruptedSweepHeader(t, dir, h, jobs, 1)
 
 		got, errOut, code := run(t, "resume", "-journal", dir)
 		if code != 0 {
-			t.Fatalf("shards=%d: resume exit %d: %s", shards, code, errOut)
+			t.Fatalf("%s: resume exit %d: %s", name, code, errOut)
 		}
 		if got != want {
-			t.Fatalf("shards=%d: resumed output differs from uninterrupted sweep:\n%q\n---\n%q", shards, got, want)
+			t.Fatalf("%s: resumed output differs from uninterrupted sweep:\n%q\n---\n%q", name, got, want)
 		}
 		if !strings.Contains(errOut, "1 of 2 job(s) already complete") {
-			t.Fatalf("shards=%d: replay count missing: %q", shards, errOut)
+			t.Fatalf("%s: replay count missing: %q", name, errOut)
 		}
 		paths, _ := journal.List(dir)
 		if len(paths) != 0 {
-			t.Fatalf("shards=%d: journal left behind after a completed resume: %v", shards, paths)
+			t.Fatalf("%s: journal left behind after a completed resume: %v", name, paths)
 		}
+	}
+}
+
+// TestNewJournalHeaderOmitsEngineFields: the CLI no longer records the
+// collective engine or the shard count, and a header without them
+// round-trips through Open.
+func TestNewJournalHeaderOmitsEngineFields(t *testing.T) {
+	dir := t.TempDir()
+	jf := journalFlags{dir: dir}
+	if err := jf.open("sweep", sweepJobs(t, "E1"), false, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	path, hash := jf.jnl.Path(), jf.jnl.Header().Hash
+	jf.jnl.Close()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, _, _ := strings.Cut(string(b), "\n")
+	for _, field := range []string{`"collectives"`, `"sim_shards"`} {
+		if strings.Contains(header, field) {
+			t.Fatalf("new journal header carries %s: %s", field, header)
+		}
+	}
+	j, h, done, err := journal.Open(path, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if h.Hash != hash || h.Collectives != "" || h.SimShards != 0 || len(done) != 0 {
+		t.Fatalf("header did not round-trip: %+v, %d done", h, len(done))
 	}
 }
 

@@ -29,15 +29,10 @@ func cmdLinpack(ctx context.Context, args []string, stdout, stderr io.Writer) er
 	pc := fs.Int("pc", 33, "process grid columns")
 	sweep := fs.String("sweep", "", "sweep a parameter: n, nb, grid or machines")
 	real := fs.Bool("real", false, "real numerics (small N) with residual check")
-	var xf collectivesFlags
-	xf.register(fs)
 	var cf cacheFlags
 	cf.register(fs)
 	if err := fs.Parse(args); err != nil {
 		return parseErr(err)
-	}
-	if err := xf.apply(); err != nil {
-		return err
 	}
 	resultCache, err := cf.open()
 	if err != nil {
@@ -96,21 +91,18 @@ func cmdLinpack(ctx context.Context, args []string, stdout, stderr io.Writer) er
 }
 
 // runRegisteredCached runs a registry workload with the given overrides
-// through the result cache (nil cache = plain run) and writes its
-// rendered text — the legacy commands are thin veneers over the same
-// workloads the registry serves, so -cache behaves exactly as it does on
-// run/sweep/report.
+// through the job driver, cache-fronted when c is non-nil, and writes
+// its rendered text — the legacy commands are thin veneers over the
+// same workloads the registry serves, so -cache behaves exactly as it
+// does on run/sweep/report.
 func runRegisteredCached(ctx context.Context, c *cache.Cache, stdout, stderr io.Writer, id string, values map[string]string) error {
 	w, err := harness.Lookup(id)
 	if err != nil {
 		return err
 	}
-	res, err := runCached(ctx, c, w, harness.Params{Values: values}, stderr)
-	if err != nil {
-		return err
-	}
-	_, err = io.WriteString(stdout, res.Text)
-	return err
+	r := runJob(w, harness.Params{Values: values})
+	r.cache = c
+	return r.drive(ctx, stdout, stderr)
 }
 
 func cmdNren(ctx context.Context, args []string, stdout, stderr io.Writer) error {

@@ -10,12 +10,10 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/nx"
 	"repro/internal/report"
-	"repro/internal/store"
 )
 
 // parseErr maps -h to a clean exit instead of an error trace.
@@ -81,8 +79,6 @@ func cmdReport(ctx context.Context, args []string, stdout, stderr io.Writer) (er
 	sf.register(fs)
 	var cf cacheFlags
 	cf.register(fs)
-	var xf collectivesFlags
-	xf.register(fs)
 	var tf tokenFlags
 	tf.register(fs)
 	var bf budgetFlags
@@ -102,9 +98,6 @@ func cmdReport(ctx context.Context, args []string, stdout, stderr io.Writer) (er
 	if err := jf.validate(); err != nil {
 		return err
 	}
-	if err := xf.apply(); err != nil {
-		return err
-	}
 	if err := pf.start(); err != nil {
 		return err
 	}
@@ -114,162 +107,24 @@ func cmdReport(ctx context.Context, args []string, stdout, stderr io.Writer) (er
 		return err
 	}
 
-	reportParams := harness.Params{Quick: *quick}
 	prog := core.NewProgram()
 	prog.Quick = *quick
+	var r jobRun
 	if *exp != "" {
 		w, err := prog.ExperimentWorkload(*exp)
 		if err != nil {
 			return err
 		}
-		ctx, cancelBudget := bf.apply(ctx)
-		defer cancelBudget()
-		res, err := runSingle(ctx, &jf, resultCache, w, reportParams, *jsonOut, stderr)
-		if err != nil {
-			return bf.explain(err)
-		}
-		if err := writeResult(stdout, res, *jsonOut); err != nil {
-			return err
-		}
-		return sf.persist(ctx, []store.Entry{{Params: reportParams, Result: res}}, stderr)
-	}
-	// The signal context drives the executor's drain channel directly:
-	// a SIGINT/SIGTERM stops dispatch at once while in-flight exhibits
-	// finish under the -drain grace; -budget layers on top so an expiry
-	// cancels outright and surfaces as DeadlineExceeded.
-	ex, err := newExecutor(*shards, *jobs, *remote, tf.token, ctx.Done(), stderr)
-	if err != nil {
-		return err
-	}
-	headerJobs, err := reportJobs(prog, reportParams)
-	if err != nil {
-		return err
-	}
-	done, err := jf.open("report", headerJobs, *jsonOut, stderr)
-	if err != nil {
-		return err
-	}
-	ex = jf.wrap(wrapExecutor(ex, resultCache), done)
-	jobCtx, stopGrace := df.wrap(ctx)
-	defer stopGrace()
-	runBase, cancelBudget := bf.apply(jobCtx)
-	defer cancelBudget()
-	// Text output streams: each exhibit prints as soon as every exhibit
-	// before it has finished, so long reports show progress. The bytes
-	// are identical to the old print-at-the-end path.
-	runCtx, cancelRun := context.WithCancel(runBase)
-	defer cancelRun()
-	emit, emitErr := streamEmitter(jsonOut, cancelRun, func(r harness.Result) error {
-		return core.WriteResult(stdout, r)
-	})
-	results, err := prog.ReportResultsExec(runCtx, ex, emit)
-	if werr := *emitErr; werr != nil {
-		jf.finish(werr, stderr)
-		return werr
-	}
-	if err != nil {
-		if persistableErr(err) {
-			sf.persistPrefix(ctx, results, func(int) harness.Params { return reportParams }, stderr)
-		}
-		jf.finish(err, stderr)
-		return bf.explain(err)
-	}
-	if *jsonOut {
-		if err := writeJSON(stdout, results); err != nil {
-			jf.finish(err, stderr)
-			return err
-		}
-	}
-	jf.finish(nil, stderr)
-	return sf.persistResults(ctx, results, func(int) harness.Params { return reportParams }, stderr)
-}
-
-// reportJobs mirrors the job list ReportResultsExec builds (same
-// exhibits, same paper order, same params) so the journal header can
-// record the report's identity without running anything.
-func reportJobs(prog *core.Program, params harness.Params) ([]harness.Job, error) {
-	exps := prog.Experiments()
-	jobs := make([]harness.Job, len(exps))
-	for i, e := range exps {
-		w, err := prog.ExperimentWorkload(e.ID)
-		if err != nil {
-			return nil, err
-		}
-		jobs[i] = harness.Job{Workload: w, Params: params}
-	}
-	return jobs, nil
-}
-
-// runSingle runs one workload the way run and report -e do — but when
-// -journal is set, it routes through the single-job executor stack so
-// the result checkpoints and a completed journal replays without
-// rerunning. Without -journal it is exactly the old runCached path.
-func runSingle(ctx context.Context, jf *journalFlags, resultCache *cache.Cache, w harness.Workload, params harness.Params, jsonOut bool, stderr io.Writer) (harness.Result, error) {
-	if jf.dir == "" {
-		return runCached(ctx, resultCache, w, params, stderr)
-	}
-	jobList := []harness.Job{{Workload: w, Params: params}}
-	done, err := jf.open("run", jobList, jsonOut, stderr)
-	if err != nil {
-		return harness.Result{}, err
-	}
-	ex := jf.wrap(wrapExecutor(harness.LocalExecutor{Workers: 1}, resultCache), done)
-	results, err := ex.Execute(ctx, jobList, nil)
-	jf.finish(err, stderr)
-	if err != nil {
-		return harness.Result{}, err
-	}
-	return results[0], nil
-}
-
-// streamEmitter adapts a per-result writer into an Executor emit
-// callback for text output (JSON callers need the whole slice, so they
-// get a nil emit and print at the end). Emit itself cannot fail the
-// executor, so the first write error cancels the run via cancelRun —
-// there is no point computing results whose output can never be
-// delivered — and lands in the returned pointer, which the caller must
-// check before the executor's error (the cancellation is a symptom).
-func streamEmitter(jsonOut *bool, cancelRun context.CancelFunc, write func(harness.Result) error) (func(int, harness.Result), *error) {
-	errp := new(error)
-	if *jsonOut {
-		return nil, errp
-	}
-	return func(_ int, r harness.Result) {
-		if *errp == nil {
-			if *errp = write(r); *errp != nil {
-				cancelRun()
-			}
-		}
-	}, errp
-}
-
-// writeResult renders one result to w as JSON or text. Callers print
-// before persisting so a store failure never discards a result the run
-// already produced.
-func writeResult(w io.Writer, res harness.Result, jsonOut bool) error {
-	if jsonOut {
-		s, err := res.JSON()
+		r = runJob(w, harness.Params{Quick: *quick})
+	} else {
+		ex, err := newExecutor(*shards, *jobs, *remote, tf.token, ctx.Done(), stderr)
 		if err != nil {
 			return err
 		}
-		_, err = io.WriteString(w, s)
-		return err
+		r = jobRun{mode: "report", jobs: prog.ReportJobs(), exec: ex}
 	}
-	_, err := io.WriteString(w, res.Text)
-	return err
-}
-
-// persistResults pairs each result with its params (by index) and
-// appends them as one snapshot; a no-op without -store.
-func (sf *storeFlags) persistResults(ctx context.Context, results []harness.Result, params func(int) harness.Params, stderr io.Writer) error {
-	if sf.dir == "" {
-		return nil
-	}
-	entries := make([]store.Entry, len(results))
-	for i, r := range results {
-		entries[i] = store.Entry{Params: params(i), Result: r}
-	}
-	return sf.persist(ctx, entries, stderr)
+	r.jsonOut, r.cache, r.journal, r.store, r.budget, r.grace = *jsonOut, resultCache, jf, sf, bf, df.grace
+	return r.drive(ctx, stdout, stderr)
 }
 
 func cmdList(_ context.Context, args []string, stdout, stderr io.Writer) error {
@@ -318,8 +173,6 @@ func cmdRun(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 	sf.register(fs)
 	var cf cacheFlags
 	cf.register(fs)
-	var xf collectivesFlags
-	xf.register(fs)
 	var bf budgetFlags
 	bf.register(fs)
 	var jf journalFlags
@@ -337,9 +190,6 @@ func cmdRun(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 	if err := jf.validate(); err != nil {
 		return err
 	}
-	if err := xf.apply(); err != nil {
-		return err
-	}
 	if err := pf.start(); err != nil {
 		return err
 	}
@@ -348,8 +198,6 @@ func cmdRun(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 	if err != nil {
 		return err
 	}
-	ctx, cancelBudget := bf.apply(ctx)
-	defer cancelBudget()
 	switch {
 	case id == "" && fs.NArg() == 1:
 		id = fs.Arg(0)
@@ -362,21 +210,16 @@ func cmdRun(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 	if err != nil {
 		return err
 	}
-	params := harness.Params{Quick: *quick, Seed: *seed, Values: overrides.vals}
+	r := runJob(w, harness.Params{Quick: *quick, Seed: *seed, Values: overrides.vals})
+	r.jsonOut, r.cache, r.journal, r.store, r.budget = *jsonOut, resultCache, jf, sf, bf
 	before := nx.ReadEngineStats()
-	res, err := runSingle(ctx, &jf, resultCache, w, params, *jsonOut, stderr)
+	err = r.drive(ctx, stdout, stderr)
 	if *engineStats {
 		// Host-side diagnostics only: never part of the result, the
 		// cache key or the journal. A cache hit runs no simulation.
 		fmt.Fprintf(stderr, "engine: %v\n", nx.ReadEngineStats().Sub(before))
 	}
-	if err != nil {
-		return bf.explain(err)
-	}
-	if err := writeResult(stdout, res, *jsonOut); err != nil {
-		return err
-	}
-	return sf.persist(ctx, []store.Entry{{Params: params, Result: res}}, stderr)
+	return err
 }
 
 func cmdSweep(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
@@ -397,8 +240,6 @@ func cmdSweep(ctx context.Context, args []string, stdout, stderr io.Writer) (err
 	sf.register(fs)
 	var cf cacheFlags
 	cf.register(fs)
-	var xf collectivesFlags
-	xf.register(fs)
 	var tf tokenFlags
 	tf.register(fs)
 	var bf budgetFlags
@@ -418,9 +259,6 @@ func cmdSweep(ctx context.Context, args []string, stdout, stderr io.Writer) (err
 		return err
 	}
 	if err := jf.validate(); err != nil {
-		return err
-	}
-	if err := xf.apply(); err != nil {
 		return err
 	}
 	if err := pf.start(); err != nil {
@@ -476,59 +314,21 @@ func cmdSweep(ctx context.Context, args []string, stdout, stderr io.Writer) (err
 		jobList = harness.WorkloadJobs(ws, base)
 	}
 
-	// The signal context drives the executor's drain channel directly:
-	// a SIGINT/SIGTERM stops dispatch at once, while jobs run under the
-	// drained jobCtx that outlives the signal by the -drain grace. The
-	// -budget deadline layers on top so an expiry cancels jobs outright
-	// (it must surface as DeadlineExceeded, not a drain).
 	ex, err := newExecutor(*shards, *jobs, *remote, tf.token, ctx.Done(), stderr)
 	if err != nil {
 		return err
 	}
-	done, err := jf.open("sweep", jobList, *jsonOut, stderr)
-	if err != nil {
-		return err
-	}
-	ex = jf.wrap(wrapExecutor(ex, resultCache), done)
-	jobCtx, stopGrace := df.wrap(ctx)
-	defer stopGrace()
-	runBase, cancelBudget := bf.apply(jobCtx)
-	defer cancelBudget()
-	// Text output streams: each point prints as soon as every point
-	// before it has finished, so huge sweeps show progress; the bytes
-	// are identical to the old print-at-the-end path. Printing precedes
-	// persisting either way: a store failure must not discard results
-	// the sweep already produced.
-	runCtx, cancelRun := context.WithCancel(runBase)
-	defer cancelRun()
-	emit, emitErr := streamEmitter(jsonOut, cancelRun, func(r harness.Result) error {
-		return writeSweepResult(stdout, r)
-	})
-	results, err := ex.Execute(runCtx, jobList, emit)
-	if werr := *emitErr; werr != nil {
-		jf.finish(werr, stderr)
-		return werr
-	}
-	if err != nil {
-		// An interrupted or budget-expired sweep still persists its
-		// completed prefix — that is the whole point of crash safety —
-		// and the kept journal prints the resume command.
-		if persistableErr(err) {
-			sf.persistPrefix(ctx, results, func(i int) harness.Params { return jobList[i].Params }, stderr)
-		}
-		jf.finish(err, stderr)
-		return bf.explain(err)
-	}
-	if *jsonOut {
-		if err := writeJSON(stdout, results); err != nil {
-			jf.finish(err, stderr)
-			return err
-		}
-	}
-	jf.finish(nil, stderr)
-	// jobList mirrors the per-result parameters so persisted records
-	// carry the exact point each result ran at.
-	return sf.persistResults(ctx, results, func(i int) harness.Params { return jobList[i].Params }, stderr)
+	return jobRun{
+		mode:    "sweep",
+		jobs:    jobList,
+		jsonOut: *jsonOut,
+		exec:    ex,
+		cache:   resultCache,
+		journal: jf,
+		store:   sf,
+		budget:  bf,
+		grace:   df.grace,
+	}.drive(ctx, stdout, stderr)
 }
 
 // writeSweepResult renders one sweep point in the sweep's text format.

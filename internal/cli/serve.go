@@ -49,8 +49,6 @@ func cmdServe(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	drain := fs.Duration("drain", 10*time.Second, "on SIGINT/SIGTERM, stop accepting and let in-flight requests finish for up to this long before closing (0 = close immediately)")
 	var cf cacheFlags
 	cf.register(fs)
-	var xf collectivesFlags
-	xf.register(fs)
 	var tf tokenFlags
 	tf.register(fs)
 	var bf budgetFlags
@@ -60,9 +58,6 @@ func cmdServe(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	}
 	if fs.NArg() > 0 {
 		return errors.New("serve: takes no arguments")
-	}
-	if err := xf.apply(); err != nil {
-		return err
 	}
 	resultCache, err := cf.open()
 	if err != nil {
@@ -327,12 +322,19 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		defer release()
 		ctx, cancel := s.computeCtx(r.Context())
 		defer cancel()
-		if s.cache == nil {
-			res, err := runCached(ctx, nil, wl, params, s.stderr)
-			return runOutcome{res, "bypass"}, err
+		// The compute half is the CLI's one-job stack: a one-worker local
+		// pool, which contains a panicking workload, under the cache.
+		ex := wrapExecutor(harness.LocalExecutor{Workers: 1}, s.cache)
+		results, err := ex.Execute(ctx, []harness.Job{{Workload: wl, Params: params}}, nil)
+		notePutErrors(ex, s.stderr)
+		if err != nil {
+			return nil, unwrapJobError(err)
 		}
-		res, err := runCached(ctx, s.cache, wl, params, s.stderr)
-		return runOutcome{res, "miss"}, err
+		status := "miss"
+		if s.cache == nil {
+			status = "bypass"
+		}
+		return runOutcome{results[0], status}, nil
 	})
 	if err != nil {
 		computeError(w, err, "run %s: %v", req.ID, err)
@@ -415,7 +417,9 @@ func (s *server) handleReport(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		results, err := prog.ReportResultsExec(ctx, wrapExecutor(ex, s.cache), nil)
+		ex = wrapExecutor(ex, s.cache)
+		results, err := prog.ReportResultsExec(ctx, ex, nil)
+		notePutErrors(ex, s.stderr)
 		return results, err
 	})
 	if err != nil {
@@ -488,5 +492,6 @@ func (s *server) execute(ctx context.Context, jobList []harness.Job) ([]harness.
 	}
 	ce := &harness.CachingExecutor{Inner: ex, Cache: s.cache}
 	results, err := ce.Execute(ctx, jobList, nil)
+	notePutErrors(ce, s.stderr)
 	return results, fmt.Sprintf("hits=%d misses=%d", ce.Hits, ce.Misses), err
 }

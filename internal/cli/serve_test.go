@@ -224,6 +224,45 @@ func TestServeRunWorkloadErrorIs500(t *testing.T) {
 	}
 }
 
+// TestServeRunPanicIsContained: a panicking workload is a 500 on every
+// identical request. The compute runs on the executor stack, which
+// contains the panic, so the coalescing flight never sees one: a repeat
+// request neither hangs on a poisoned key nor kills the server.
+func TestServeRunPanicIsContained(t *testing.T) {
+	reg := harness.NewRegistry()
+	if err := reg.Register(harness.Spec{
+		WorkloadID: "srv/panic",
+		Desc:       "panics on every run",
+		RunFunc: func(context.Context, harness.Params) (harness.Result, error) {
+			panic("deliberate test panic")
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer((&server{reg: reg, stderr: io.Discard}).handler())
+	t.Cleanup(ts.Close)
+	client := &http.Client{Timeout: 10 * time.Second}
+	for i := 0; i < 2; i++ {
+		resp, err := client.Post(ts.URL+"/api/v1/run", "application/json", strings.NewReader(`{"id":"srv/panic"}`))
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "workload panicked") {
+			t.Fatalf("request %d: status %d, body %s; want 500 naming the panic", i, resp.StatusCode, body)
+		}
+	}
+	resp, err := client.Get(ts.URL + "/api/v1/workloads")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("workloads after panics: status %d", resp.StatusCode)
+	}
+}
+
 func TestServeRunWrongMethodIs405(t *testing.T) {
 	ts, _ := serveTestServer(t, "", "")
 	resp, _ := getURL(t, ts.URL+"/api/v1/run")

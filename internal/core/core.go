@@ -75,7 +75,7 @@ type Experiment struct {
 // so the result cache can serve `hpcc report -cache` from disk. Bump it
 // whenever any exhibit's rendering or underlying model changes output for
 // a fixed Params — all seven share it, since they share the Program model.
-const exhibitVersion = "hpcc-1992.1"
+const exhibitVersion = "hpcc-1992.2"
 
 // exhibit is a paper exhibit as a harness workload: runnable against a
 // fresh default Program through the registry, or against a configured
@@ -284,22 +284,35 @@ func (p *Program) ReportResults(ctx context.Context, workers int) ([]harness.Res
 // Budget or Agencies would share entries with the default Program and
 // must not run through a cache.
 func (p *Program) ReportResultsExec(ctx context.Context, ex harness.Executor, emit func(int, harness.Result)) ([]harness.Result, error) {
+	// The completed prefix travels with the error (the Executor
+	// contract), so an interrupted report can still persist or journal
+	// the exhibits that finished.
+	results, err := ex.Execute(ctx, p.ReportJobs(), emit)
+	return results, ReportError(err)
+}
+
+// ReportJobs is the report's job list: every exhibit bound to p, in
+// paper order, each with Params{Quick: p.Quick}.
+func (p *Program) ReportJobs() []harness.Job {
 	jobs := make([]harness.Job, len(exhibits))
 	for i, e := range exhibits {
 		jobs[i] = harness.Job{Workload: e.bind(p), Params: harness.Params{Quick: p.Quick}}
 	}
-	results, err := ex.Execute(ctx, jobs, emit)
-	if err != nil {
-		// The completed prefix travels with the error (the Executor
-		// contract), so an interrupted report can still persist or
-		// journal the exhibits that finished.
-		var je *harness.JobError
-		if errors.As(err, &je) {
-			return results, fmt.Errorf("core: %s: %w", je.WorkloadID, je.Err)
-		}
-		return results, fmt.Errorf("core: report: %w", err)
+	return jobs
+}
+
+// ReportError gives an executor's error for the report's job list the
+// report's form: "core: E4: <cause>" for a failed exhibit, "core:
+// report: <cause>" otherwise. nil stays nil.
+func ReportError(err error) error {
+	if err == nil {
+		return nil
 	}
-	return results, nil
+	var je *harness.JobError
+	if errors.As(err, &je) {
+		return fmt.Errorf("core: %s: %w", je.WorkloadID, je.Err)
+	}
+	return fmt.Errorf("core: report: %w", err)
 }
 
 // WriteReportJobs regenerates every exhibit into w using `workers`

@@ -79,9 +79,11 @@ type Header struct {
 	// binary: same-registry enforcement, exactly like the fleet
 	// handshake.
 	Fingerprint string `json:"fingerprint"`
-	// Collectives and SimShards pin the nx execution configuration the
-	// sweep ran under; resume re-applies them so the remainder computes
-	// identical bytes.
+	// Collectives and SimShards record the nx execution configuration
+	// of journals written by older binaries. Output never depended on
+	// either, so hpcc neither writes nor reads them any more; they stay
+	// so such journals (and writers that still set them) hash and
+	// verify unchanged.
 	Collectives string `json:"collectives,omitempty"`
 	SimShards   int    `json:"sim_shards,omitempty"`
 	// JSON records whether the interrupted command was asked for JSON

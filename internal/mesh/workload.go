@@ -66,6 +66,12 @@ func runSaturation(ctx context.Context, p harness.Params) (harness.Result, error
 	if err != nil {
 		return harness.Result{}, err
 	}
+	if rows < 1 || cols < 1 {
+		return harness.Result{}, fmt.Errorf("mesh: dims must be >= 1 (got %dx%d)", rows, cols)
+	}
+	if bytes < 0 || packets < 0 {
+		return harness.Result{}, fmt.Errorf("mesh: bytes and packets must be >= 0 (got bytes=%d packets=%d)", bytes, packets)
+	}
 	pat, err := PatternByName(p.Value("pattern", "uniform"))
 	if err != nil {
 		return harness.Result{}, err

@@ -2,6 +2,7 @@ package micro
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/harness"
 	"repro/internal/machine"
@@ -43,6 +44,9 @@ func runWorkload(ctx context.Context, p harness.Params) (harness.Result, error) 
 	maxBytes, err := p.Int("maxbytes", defMax)
 	if err != nil {
 		return harness.Result{}, err
+	}
+	if procs < 2 || reps < 1 || maxBytes < 8 {
+		return harness.Result{}, fmt.Errorf("micro: want procs >= 2, reps >= 1 and maxbytes >= 8 (got %d, %d, %d)", procs, reps, maxBytes)
 	}
 	out, err := Run(Config{
 		Procs: procs, Reps: reps, Sizes: DefaultSizes(maxBytes),

@@ -71,7 +71,6 @@ package nx
 import (
 	"fmt"
 	"math"
-	"os"
 	"sync/atomic"
 
 	"repro/internal/trace"
@@ -83,8 +82,7 @@ type CollectiveMode int
 // Collective execution modes.
 const (
 	// CollectivesAuto (the zero value) uses the process-wide default:
-	// fused, unless SetDefaultCollectives or the HPCC_COLLECTIVES
-	// environment variable ("tree" or "fused") says otherwise.
+	// fused, unless SetDefaultCollectives says otherwise.
 	CollectivesAuto CollectiveMode = iota
 	// CollectivesFused computes each collective analytically in one
 	// rendezvous (this file). Virtual times and stats are bit-identical
@@ -108,38 +106,19 @@ func (m CollectiveMode) String() string {
 	return fmt.Sprintf("CollectiveMode(%d)", int(m))
 }
 
-// ParseCollectiveMode maps the CLI/env spelling of a mode to its value.
-func ParseCollectiveMode(s string) (CollectiveMode, error) {
-	switch s {
-	case "", "auto":
-		return CollectivesAuto, nil
-	case "fused":
-		return CollectivesFused, nil
-	case "tree":
-		return CollectivesTree, nil
-	}
-	return CollectivesAuto, fmt.Errorf("nx: unknown collective mode %q (want fused or tree)", s)
-}
-
 // defaultCollectives is what CollectivesAuto resolves to. It is atomic so
-// a CLI flag handler can set it once while worker pools are quiescent
-// without racing the runtime's readers.
+// a test can switch it while no simulation runs without racing the
+// runtime's readers.
 var defaultCollectives atomic.Int32
 
-func init() {
-	defaultCollectives.Store(int32(CollectivesFused))
-	// Worker processes inherit the parent's -collectives choice through
-	// the environment (the shard executor re-execs the binary without
-	// re-passing flags).
-	if m, err := ParseCollectiveMode(os.Getenv("HPCC_COLLECTIVES")); err == nil && m != CollectivesAuto {
-		defaultCollectives.Store(int32(m))
-	}
-}
+func init() { defaultCollectives.Store(int32(CollectivesFused)) }
 
 // SetDefaultCollectives sets what CollectivesAuto resolves to for runs
-// that do not pin Config.Collectives. It is meant to be called once at
-// process start (the hpcc -collectives flag); mid-run calls affect only
-// runs started afterwards.
+// that do not pin Config.Collectives. The tree path is a test oracle:
+// differential tests select it to prove the fused engine bit-identical,
+// and benchmarks to measure what fusing saves; no command-line flag or
+// environment variable selects it. Mid-run calls affect only runs
+// started afterwards.
 func SetDefaultCollectives(m CollectiveMode) {
 	if m == CollectivesAuto {
 		m = CollectivesFused
@@ -147,7 +126,8 @@ func SetDefaultCollectives(m CollectiveMode) {
 	defaultCollectives.Store(int32(m))
 }
 
-// DefaultCollectives returns what CollectivesAuto currently resolves to.
+// DefaultCollectives returns what CollectivesAuto currently resolves to:
+// fused unless a test has called SetDefaultCollectives.
 func DefaultCollectives() CollectiveMode {
 	return CollectiveMode(defaultCollectives.Load())
 }
