@@ -166,7 +166,7 @@ func BenchmarkE5ConsortiumNetwork(b *testing.B) {
 func BenchmarkE6AeroStencilScaling(b *testing.B) {
 	var speedup, eff float64
 	for i := 0; i < b.N; i++ {
-		pts, err := stencil.StrongScaling(machine.Delta(), 1056, 1056, 10,
+		pts, err := stencil.StrongScaling(context.Background(), machine.Delta(), 1056, 1056, 10,
 			[]int{1, 528})
 		if err != nil {
 			b.Fatal(err)

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -38,7 +39,7 @@ func main() {
 		dist.Grid[(n/2)*n+n/2], stencil.Hot)
 
 	// Strong scaling at Delta scale (phantom mode).
-	pts, err := stencil.StrongScaling(delta, 1056, 1056, 20,
+	pts, err := stencil.StrongScaling(context.Background(), delta, 1056, 1056, 20,
 		[]int{1, 4, 16, 66, 264, 528})
 	if err != nil {
 		log.Fatal(err)

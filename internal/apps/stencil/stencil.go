@@ -227,14 +227,15 @@ type ScalingPoint struct {
 }
 
 // StrongScaling runs the solver in phantom mode at fixed problem size for
-// each process count and reports speedup relative to the first entry.
-func StrongScaling(model machine.Model, nxCells, nyCells, iters int, procs []int) ([]ScalingPoint, error) {
+// each process count and reports speedup relative to the first entry. A
+// cancelled ctx stops the current run mid-flight with ctx's error.
+func StrongScaling(ctx context.Context, model machine.Model, nxCells, nyCells, iters int, procs []int) ([]ScalingPoint, error) {
 	var out []ScalingPoint
 	var t1 float64
 	for i, p := range procs {
 		o, err := RunDistributed(Config{
 			NX: nxCells, NY: nyCells, Iters: iters,
-			Procs: p, Model: model, Phantom: true,
+			Procs: p, Model: model, Phantom: true, Ctx: ctx,
 		})
 		if err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package stencil
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -144,7 +145,7 @@ func TestPhantomTimeMatchesRealTime(t *testing.T) {
 }
 
 func TestStrongScalingImproves(t *testing.T) {
-	pts, err := StrongScaling(model(1, 16), 512, 512, 5, []int{1, 2, 4, 8, 16})
+	pts, err := StrongScaling(context.Background(), model(1, 16), 512, 512, 5, []int{1, 2, 4, 8, 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,6 +19,10 @@ func TestFlagValidationFailsFast(t *testing.T) {
 		{"report-j-negative", []string{"report", "-quick", "-j", "-3"}, "-j must be at least 1"},
 		{"sweep-j-zero", []string{"sweep", "-ids", "E1", "-j", "0"}, "-j must be at least 1"},
 		{"report-shards-negative", []string{"report", "-quick", "-shards", "-1"}, "-shards must be non-negative"},
+		{"report-e-j-zero", []string{"report", "-e", "E3", "-j", "0"}, "-j must be at least 1"},
+		{"report-e-shards-and-j-invalid", []string{"report", "-e", "E3", "-shards", "-1", "-j", "0"}, "-j must be at least 1"},
+		{"report-e-shards-only-negative", []string{"report", "-e", "E3", "-shards", "-1"}, "-shards must be non-negative"},
+		{"report-e-remote-and-shards", []string{"report", "-e", "E3", "-shards", "2", "-remote", "127.0.0.1:1"}, "mutually exclusive"},
 		{"sweep-shards-negative", []string{"sweep", "-ids", "E1", "-shards", "-2"}, "-shards must be non-negative"},
 		{"run-cache-blank", []string{"run", "E1", "-cache", "   "}, "empty cache directory"},
 		{"sweep-cache-blank", []string{"sweep", "-ids", "E1", "-cache", " "}, "empty cache directory"},

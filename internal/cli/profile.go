@@ -1,8 +1,9 @@
 package cli
 
-// The -cpuprofile and -memprofile flags of run, sweep and report:
-// runtime/pprof profiles of one invocation's own process (not of -shards
-// or -remote workers), read with `go tool pprof -top <file>`. Profiles
+// The -cpuprofile, -memprofile and -exectrace flags of run, sweep and
+// report: runtime/pprof profiles and a runtime/trace execution trace of
+// one invocation's own process (not of -shards or -remote workers), read
+// with `go tool pprof -top <file>` and `go tool trace <file>`. They
 // observe host time and memory only; they never reach results, cache
 // keys or journal identities.
 
@@ -10,39 +11,63 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"runtime/trace"
 )
 
 // profileFlags carries the profile destinations and, while the CPU
-// profile runs, its open file.
+// profile and the execution trace run, their open files.
 type profileFlags struct {
-	cpu, mem string
-	cpuFile  *os.File
+	cpu, mem, exec    string
+	cpuFile, execFile *os.File
 }
 
 func (pf *profileFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&pf.cpu, "cpuprofile", "", "write a CPU profile of this process to this file (go tool pprof)")
 	fs.StringVar(&pf.mem, "memprofile", "", "write a heap profile of this process to this file when the command ends (go tool pprof)")
+	fs.StringVar(&pf.exec, "exectrace", "", "write an execution trace of this process (goroutines, parks, GC) to this file (go tool trace)")
 }
 
-// start begins the CPU profile, if one was asked for. A command that
-// calls it must defer stop.
+// start begins the CPU profile and the execution trace that were asked
+// for. A command whose start succeeds must defer stop; a failed start
+// leaves nothing running.
 func (pf *profileFlags) start() error {
-	if pf.cpu == "" {
-		return nil
+	if pf.cpu != "" {
+		f, err := startTo(pf.cpu, pprof.StartCPUProfile)
+		if err != nil {
+			return fmt.Errorf("cpuprofile: %w", err)
+		}
+		pf.cpuFile = f
 	}
-	f, err := os.Create(pf.cpu)
-	if err != nil {
-		return fmt.Errorf("cpuprofile: %w", err)
+	if pf.exec != "" {
+		f, err := startTo(pf.exec, trace.Start)
+		if err != nil {
+			if pf.cpuFile != nil {
+				pprof.StopCPUProfile()
+				pf.cpuFile.Close()
+				pf.cpuFile = nil
+			}
+			return fmt.Errorf("exectrace: %w", err)
+		}
+		pf.execFile = f
 	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		f.Close()
-		return fmt.Errorf("cpuprofile: %w", err)
-	}
-	pf.cpuFile = f
 	return nil
+}
+
+// startTo creates path and starts a recorder writing to it.
+func startTo(path string, start func(io.Writer) error) (*os.File, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := start(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
 }
 
 // stop ends the CPU profile and writes the heap profile. A profile that
@@ -56,6 +81,13 @@ func (pf *profileFlags) stop(errp *error) {
 			errs = append(errs, fmt.Errorf("cpuprofile: %w", err))
 		}
 		pf.cpuFile = nil
+	}
+	if pf.execFile != nil {
+		trace.Stop()
+		if err := pf.execFile.Close(); err != nil {
+			errs = append(errs, fmt.Errorf("exectrace: %w", err))
+		}
+		pf.execFile = nil
 	}
 	if pf.mem != "" {
 		if err := writeHeapProfile(pf.mem); err != nil {

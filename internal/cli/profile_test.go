@@ -43,6 +43,46 @@ func TestProfileFlagsWriteProfilesAndKeepOutput(t *testing.T) {
 	}
 }
 
+// TestExecTraceFlagWritesTraceAndKeepsOutput: run, sweep and report write
+// a runtime execution trace and print exactly the bytes they print
+// without it; an unwritable trace path fails the command and leaves no
+// CPU profile running.
+func TestExecTraceFlagWritesTraceAndKeepsOutput(t *testing.T) {
+	for _, args := range [][]string{
+		{"run", "app/poisson-cg", "-quick"},
+		{"sweep", "-ids", "E1,app/nas-ep", "-quick"},
+		{"report", "-quick", "-e", "E3"},
+	} {
+		t.Run(args[0], func(t *testing.T) {
+			plain, _, code := run(t, args...)
+			if code != 0 {
+				t.Fatalf("%v: exit %d", args, code)
+			}
+			path := filepath.Join(t.TempDir(), "exec.trace")
+			traced, errOut, code := run(t, append(args, "-exectrace", path)...)
+			if code != 0 {
+				t.Fatalf("%v with -exectrace: exit %d: %s", args, code, errOut)
+			}
+			if traced != plain {
+				t.Fatalf("%v: output changed under -exectrace", args)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil || !strings.HasPrefix(string(data), "go 1.") {
+				t.Fatalf("%v: trace %s missing or not a Go trace (%v)", args, path, err)
+			}
+		})
+	}
+	dir := t.TempDir()
+	bad := filepath.Join(dir, "no-such-dir", "exec.trace")
+	cpu := filepath.Join(dir, "cpu.prof")
+	if _, errOut, code := run(t, "run", "E1", "-quick", "-cpuprofile", cpu, "-exectrace", bad); code == 0 || !strings.Contains(errOut, "exectrace") {
+		t.Fatalf("unwritable -exectrace: exit %d, stderr %q", code, errOut)
+	}
+	if _, errOut, code := run(t, "run", "E1", "-quick", "-cpuprofile", cpu); code != 0 {
+		t.Fatalf("CPU profile left running by a failed start: exit %d, stderr %q", code, errOut)
+	}
+}
+
 // TestRunStatsSideChannel: run -stats prints the engine counters to
 // stderr and leaves stdout, text or JSON, byte-identical.
 func TestRunStatsSideChannel(t *testing.T) {

@@ -73,7 +73,7 @@ func cmdReport(ctx context.Context, args []string, stdout, stderr io.Writer) (er
 	jobs := fs.Int("j", harness.DefaultWorkers(), "concurrent workers (output is identical for any value)")
 	shards := fs.Int("shards", 0, "fan exhibits out to N hpcc worker processes (0 = in-process -j pool; output is identical either way)")
 	remote := fs.String("remote", "", "fan exhibits out to hpcc worker -listen fleet at these comma-separated addresses (output is identical either way)")
-	exp := fs.String("e", "", "run a single experiment by ID (E1..E7)")
+	exp := fs.String("e", "", "run a single experiment by ID (E1..E7), on the executor -j/-shards/-remote pick")
 	jsonOut := fs.Bool("json", false, "emit structured JSON instead of text")
 	var sf storeFlags
 	sf.register(fs)
@@ -109,19 +109,19 @@ func cmdReport(ctx context.Context, args []string, stdout, stderr io.Writer) (er
 
 	prog := core.NewProgram()
 	prog.Quick = *quick
-	var r jobRun
+	// -e runs its one exhibit on the executor the flags pick, like the
+	// full report, and renders it as `run` does.
+	ex, err := newExecutor(*shards, *jobs, *remote, tf.token, ctx.Done(), stderr)
+	if err != nil {
+		return err
+	}
+	r := jobRun{mode: "report", jobs: prog.ReportJobs(), exec: ex}
 	if *exp != "" {
 		w, err := prog.ExperimentWorkload(*exp)
 		if err != nil {
 			return err
 		}
-		r = runJob(w, harness.Params{Quick: *quick})
-	} else {
-		ex, err := newExecutor(*shards, *jobs, *remote, tf.token, ctx.Done(), stderr)
-		if err != nil {
-			return err
-		}
-		r = jobRun{mode: "report", jobs: prog.ReportJobs(), exec: ex}
+		r.mode, r.jobs = "run", []harness.Job{{Workload: w, Params: harness.Params{Quick: *quick}}}
 	}
 	r.jsonOut, r.cache, r.journal, r.store, r.budget, r.grace = *jsonOut, resultCache, jf, sf, bf, df.grace
 	return r.drive(ctx, stdout, stderr)

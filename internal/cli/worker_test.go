@@ -89,6 +89,25 @@ func TestReportShardsByteIdentical(t *testing.T) {
 	}
 }
 
+// TestReportSingleExhibitRunsOnShards: report -e runs its one exhibit on
+// the executor -shards picks, with the in-process bytes in text and JSON.
+func TestReportSingleExhibitRunsOnShards(t *testing.T) {
+	for _, mode := range [][]string{nil, {"-json"}} {
+		args := append([]string{"report", "-e", "E4", "-quick"}, mode...)
+		local, _, code := run(t, args...)
+		if code != 0 {
+			t.Fatalf("%v exit %d", args, code)
+		}
+		sharded, errOut, code := run(t, append(args, "-shards", "1")...)
+		if code != 0 {
+			t.Fatalf("%v -shards 1 exit %d: %s", args, code, errOut)
+		}
+		if sharded != local {
+			t.Fatalf("%v -shards 1 output differs from in-process", args)
+		}
+	}
+}
+
 func TestSweepShardsJSONDecodes(t *testing.T) {
 	local, _, code := run(t, "sweep", "-ids", "E1,app/nas-ep", "-quick", "-json")
 	if code != 0 {

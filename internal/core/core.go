@@ -75,7 +75,7 @@ type Experiment struct {
 // so the result cache can serve `hpcc report -cache` from disk. Bump it
 // whenever any exhibit's rendering or underlying model changes output for
 // a fixed Params — all seven share it, since they share the Program model.
-const exhibitVersion = "hpcc-1992.2"
+const exhibitVersion = "hpcc-1992.3"
 
 // exhibit is a paper exhibit as a harness workload: runnable against a
 // fresh default Program through the registry, or against a configured
@@ -84,7 +84,9 @@ type exhibit struct {
 	id    string
 	title string
 	paper string
-	run   func(p *Program) (string, error)
+	// run regenerates the exhibit; the simulating exhibits (E4, E6, E7)
+	// stop mid-run with ctx's error once ctx is cancelled.
+	run func(ctx context.Context, p *Program) (string, error)
 }
 
 // exhibits lists every paper exhibit in paper order. The init function
@@ -158,20 +160,19 @@ func (e exhibit) ParamSpace() []harness.Param { return nil }
 // caching executors (see ReportResultsExec).
 func (e exhibit) WorkloadVersion() string { return exhibitVersion }
 
-// Run implements harness.Workload against a fresh default Program. The
-// ctx check covers cancellation between exhibits; the simulations
-// themselves run to completion once started.
+// Run implements harness.Workload against a fresh default Program. A
+// cancelled ctx stops a simulating exhibit mid-run.
 func (e exhibit) Run(ctx context.Context, p harness.Params) (harness.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return harness.Result{}, err
 	}
 	prog := NewProgram()
 	prog.Quick = p.Quick
-	return e.runWith(prog)
+	return e.runWith(ctx, prog)
 }
 
-func (e exhibit) runWith(p *Program) (harness.Result, error) {
-	text, err := e.run(p)
+func (e exhibit) runWith(ctx context.Context, p *Program) (harness.Result, error) {
+	text, err := e.run(ctx, p)
 	if err != nil {
 		return harness.Result{}, err
 	}
@@ -199,7 +200,7 @@ func (b boundExhibit) Run(ctx context.Context, _ harness.Params) (harness.Result
 	if err := ctx.Err(); err != nil {
 		return harness.Result{}, err
 	}
-	return b.runWith(b.prog)
+	return b.runWith(ctx, b.prog)
 }
 
 // Experiments returns all exhibits in paper order, backed by the same
@@ -207,7 +208,8 @@ func (b boundExhibit) Run(ctx context.Context, _ harness.Params) (harness.Result
 func (p *Program) Experiments() []Experiment {
 	out := make([]Experiment, len(exhibits))
 	for i, e := range exhibits {
-		out[i] = Experiment{ID: e.id, Title: e.title, Paper: e.paper, Run: e.run}
+		run := func(p *Program) (string, error) { return e.run(context.Background(), p) }
+		out[i] = Experiment{ID: e.id, Title: e.title, Paper: e.paper, Run: run}
 	}
 	return out
 }
@@ -228,7 +230,7 @@ func (p *Program) ExperimentResult(id string) (harness.Result, error) {
 	if err != nil {
 		return harness.Result{}, err
 	}
-	return e.runWith(p)
+	return e.runWith(context.Background(), p)
 }
 
 // ExperimentWorkload returns one exhibit as a harness.Workload bound to
@@ -347,15 +349,15 @@ func WriteResult(w io.Writer, r harness.Result) error {
 	return err
 }
 
-func runE1(*Program) (string, error) {
+func runE1(context.Context, *Program) (string, error) {
 	return funding.Table().Render() + "\n" + funding.GrowthTable().Render(), nil
 }
 
-func runE2(*Program) (string, error) {
+func runE2(context.Context, *Program) (string, error) {
 	return agency.Matrix().Render(), nil
 }
 
-func runE3(p *Program) (string, error) {
+func runE3(_ context.Context, p *Program) (string, error) {
 	t := report.NewTable("Concurrent Supercomputer Consortium: Intel Touchstone Delta",
 		"Property", "Value")
 	t.AddRow("Numeric processors", report.Cellf("%d", p.Machine.Nodes()))
@@ -379,8 +381,9 @@ func (p *Program) DeltaLinpack() linpack.Config {
 	return cfg
 }
 
-func runE4(p *Program) (string, error) {
+func runE4(ctx context.Context, p *Program) (string, error) {
 	cfg := p.DeltaLinpack()
+	cfg.Ctx = ctx
 	out, err := linpack.Run(cfg)
 	if err != nil {
 		return "", err
@@ -397,7 +400,7 @@ func runE4(p *Program) (string, error) {
 	return t.Render(), nil
 }
 
-func runE5(p *Program) (string, error) {
+func runE5(_ context.Context, p *Program) (string, error) {
 	classTbl, err := nren.LinkClassTable(10e6)
 	if err != nil {
 		return "", err
@@ -426,13 +429,13 @@ func (p *Program) scalingProcs() []int {
 	return []int{1, 4, 16, 66, 264, 528}
 }
 
-func runE6(p *Program) (string, error) {
+func runE6(ctx context.Context, p *Program) (string, error) {
 	grid := 1056
 	iters := 20
 	if p.Quick {
 		grid, iters = 256, 5
 	}
-	pts, err := stencil.StrongScaling(p.Machine, grid, grid, iters, p.scalingProcs())
+	pts, err := stencil.StrongScaling(ctx, p.Machine, grid, grid, iters, p.scalingProcs())
 	if err != nil {
 		return "", err
 	}
@@ -446,7 +449,7 @@ func runE6(p *Program) (string, error) {
 	return t.Render(), nil
 }
 
-func runE7(p *Program) (string, error) {
+func runE7(ctx context.Context, p *Program) (string, error) {
 	grid := 1056
 	steps := 20
 	if p.Quick {
@@ -460,7 +463,7 @@ func runE7(p *Program) (string, error) {
 	for i, procs := range p.scalingProcs() {
 		out, err := shallow.RunDistributed(shallow.Config{
 			NX: grid, NY: grid, Steps: steps, Procs: procs,
-			Params: params, Model: p.Machine, Phantom: true,
+			Params: params, Model: p.Machine, Phantom: true, Ctx: ctx,
 		})
 		if err != nil {
 			return "", err

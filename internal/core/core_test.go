@@ -6,6 +6,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/harness"
 )
@@ -204,5 +205,41 @@ func TestReportResultsCancellation(t *testing.T) {
 	_, err := p.ReportResults(ctx, 2)
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
+	}
+}
+
+// TestE4CancelStopsMidRun: cancelling the job ctx while full-size E4 runs
+// stops the simulation instead of finishing it. E4 takes about a second
+// on a 2-core host, so a run that ignored ctx would return its table.
+func TestE4CancelStopsMidRun(t *testing.T) {
+	w, err := harness.Lookup("E4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	stop := time.AfterFunc(20*time.Millisecond, cancel)
+	defer stop.Stop()
+	start := time.Now()
+	res, err := w.Run(ctx, harness.Params{})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("E4 returned %v (text %d bytes), want context.Canceled", err, len(res.Text))
+	}
+	t.Logf("E4 stopped %v after start", time.Since(start))
+}
+
+// TestSimulatingExhibitsHonourCtx: E4, E6 and E7 hand the job ctx to
+// their simulations, so a cancelled ctx ends each with ctx's error even
+// past the exhibit's own up-front check.
+func TestSimulatingExhibitsHonourCtx(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	p := NewProgram()
+	for _, c := range []struct {
+		id  string
+		run func(context.Context, *Program) (string, error)
+	}{{"E4", runE4}, {"E6", runE6}, {"E7", runE7}} {
+		if _, err := c.run(ctx, p); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", c.id, err)
+		}
 	}
 }

@@ -191,8 +191,9 @@ func Create(dir string, h Header) (*Journal, error) {
 // against its own identity hash, replays the checkpoint entries into an
 // index → Result map, recovers a torn final line (truncating it with a
 // note on warn — a crash mid-append must never make a journal
-// unresumable), and leaves the file positioned for appending. A missing
-// file propagates fs.ErrNotExist.
+// unresumable), ends a kept final line that lost its newline, and leaves
+// the file positioned for appending. A missing file propagates
+// fs.ErrNotExist.
 func Open(path string, warn io.Writer) (*Journal, Header, map[int]harness.Result, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -241,6 +242,14 @@ func Open(path string, warn io.Writer) (*Journal, Header, map[int]harness.Result
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, Header{}, nil, fmt.Errorf("journal: reopen for append: %w", err)
+	}
+	if !torn && data[len(data)-1] != '\n' {
+		// The kept final line only lost its newline: end it, or the next
+		// append would run on from it and make the journal unreadable.
+		if _, err := f.Write([]byte{'\n'}); err != nil {
+			f.Close()
+			return nil, Header{}, nil, fmt.Errorf("journal: terminate final line: %w", err)
+		}
 	}
 	return &Journal{path: path, f: f, header: h}, h, done, nil
 }

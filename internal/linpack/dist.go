@@ -196,18 +196,6 @@ func (w *worker) phantomPivot(j int) int {
 	return j + int(x%uint64(span))
 }
 
-// phantomPivotSeen returns the pivot row of column j, in the panel owned
-// by process column colOwner, as this process sees it in phantom mode,
-// which keeps no pivot array: the owning column computed phantomPivot(j)
-// in panelFactor, and every other column sees 0, because BcastPhantom
-// carries no pivots.
-func (w *worker) phantomPivotSeen(j, colOwner int) int {
-	if w.pc == colOwner {
-		return w.phantomPivot(j)
-	}
-	return 0
-}
-
 // pivotOp keeps the (|value|, row) pair with the larger magnitude, breaking
 // ties toward the smaller global row (matching serial Idamax order).
 func pivotOp(acc, in []float64) {
@@ -418,7 +406,7 @@ func (w *worker) applyTrailingSwaps(j0, kb, colOwner int) {
 	// inner loop (this loop runs P x N times per factorization).
 	ownerJ := Owner(j0, w.nb, w.gr)
 	if w.cfg.Phantom {
-		w.applyTrailingSwapsPhantom(j0, kb, colOwner, ownerJ, width)
+		trailingSwapsPhantom(w, j0, kb, colOwner, ownerJ, width)
 		return
 	}
 	for jj := 0; jj < kb; jj++ {
@@ -464,24 +452,39 @@ func (w *worker) applyTrailingSwaps(j0, kb, colOwner int) {
 	}
 }
 
+// trailingSwapsPhantom is the phantom trailing-swap step. It is a
+// variable so the tests can run the per-process pivot scan it replaced
+// as a differential oracle.
+var trailingSwapsPhantom = (*worker).applyTrailingSwapsPhantom
+
 // applyTrailingSwapsPhantom is the phantom-mode wavefront: the kb row
 // interchanges move no data, so maximal runs of consecutive swaps against
 // one peer grid row batch into a single ExchangeBatchPhantom — one
 // deferred rendezvous instead of 2·cnt mailbox operations, each of which
 // would also force the deferred-settlement chain to settle.
 //
-// Run boundaries must be derived identically by both members of every
-// exchange pair. Pairs always share a process column, and a process
-// column's pivot view is consistent down the column (see
-// phantomPivotSeen), so a shared scan of the pivots suffices: skips
-// (gRow == j) do nothing on any process and are transparent; a swap
-// local to the owning row advances that row's clock, so it ends the run;
-// a swap against a different peer row starts a new run. Batching a run is exact because
+// Phantom mode keeps no pivot array, and BcastPhantom carries no pivots:
+// only the process column owning the panel knows its pivots (it computed
+// phantomPivot in panelFactor), and every other column sees pivot row 0
+// for every panel column. Pairs always share a process column, so both
+// members of every exchange derive the same run boundaries.
+//
+// In the owning column the pivots are scanned: skips (gRow == j) do
+// nothing on any process and are transparent; a swap local to the owning
+// row advances that row's clock, so it ends the run; a swap against a
+// different peer row starts a new run. Batching a run is exact because
 // its exchanges are back-to-back in every participant's program.
+//
+// Elsewhere the scan's outcome is closed form (trailingSwapsPivotZero),
+// so the other gc-1 columns skip it.
 func (w *worker) applyTrailingSwapsPhantom(j0, kb, colOwner, ownerJ, width int) {
+	if w.pc != colOwner {
+		w.trailingSwapsPivotZero(j0, kb, ownerJ, width)
+		return
+	}
 	for jj := 0; jj < kb; {
 		j := j0 + jj
-		gRow := w.phantomPivotSeen(j, colOwner)
+		gRow := w.phantomPivot(j)
 		if gRow == j {
 			jj++
 			continue
@@ -497,7 +500,7 @@ func (w *worker) applyTrailingSwapsPhantom(j0, kb, colOwner, ownerJ, width int) 
 		cnt := 1
 		for jj++; jj < kb; jj++ {
 			jn := j0 + jj
-			gn := w.phantomPivotSeen(jn, colOwner)
+			gn := w.phantomPivot(jn)
 			if gn == jn {
 				continue
 			}
@@ -514,6 +517,34 @@ func (w *worker) applyTrailingSwapsPhantom(j0, kb, colOwner, ownerJ, width int) 
 			peerOwner = ownerJ
 		}
 		w.p.ExchangeBatchPhantom(w.rank(peerOwner, w.pc), tagSwapTrail, 8*width, cnt)
+	}
+}
+
+// trailingSwapsPivotZero emits what the pivot scan emits when every pivot
+// row reads 0 (a process column that does not own the panel). Row 0
+// lives on grid row 0, so each swap j <-> 0 is local there when grid
+// row 0 also owns the panel's diagonal block (one vector charge per
+// panel column, except j == 0, which is its own pivot and skips);
+// otherwise all kb swaps are one run between grid rows ownerJ and 0.
+func (w *worker) trailingSwapsPivotZero(j0, kb, ownerJ, width int) {
+	if ownerJ == 0 {
+		if w.pr != 0 {
+			return
+		}
+		swaps := kb
+		if j0 == 0 {
+			swaps--
+		}
+		for ; swaps > 0; swaps-- {
+			w.p.Compute(machine.OpVector, float64(width))
+		}
+		return
+	}
+	switch w.pr {
+	case ownerJ:
+		w.p.ExchangeBatchPhantom(w.rank(0, w.pc), tagSwapTrail, 8*width, kb)
+	case 0:
+		w.p.ExchangeBatchPhantom(w.rank(ownerJ, w.pc), tagSwapTrail, 8*width, kb)
 	}
 }
 

@@ -310,6 +310,7 @@ type groupSlot struct {
 	counts  []int // per-member posts so far; a post's number is its member's count
 	free    []*rendezvous
 	members []int // the member list the slot serves, in group order
+	base    Tag   // Group tag base (see groupTagBase); 0 for exchange pairs
 }
 
 // rendezvous is one collective: a cell per member, holding the entries
@@ -364,9 +365,10 @@ type pendRef struct {
 
 // slot returns (creating on first use) the rendezvous anchor for a member
 // list, keyed by its packed encoding. members is recorded on the slot at
-// creation (exchange callers replay from it; every caller passes an
-// identical list for a given key).
-func (rt *runtime) slot(key string, members []int) *groupSlot {
+// creation and never written again (Group handles share it, exchange
+// callers replay from it; every caller passes an identical list for a
+// given key), and so is base, a Group's tag base.
+func (rt *runtime) slot(key string, members []int, base Tag) *groupSlot {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if rt.slots == nil {
@@ -374,7 +376,7 @@ func (rt *runtime) slot(key string, members []int) *groupSlot {
 	}
 	s := rt.slots[key]
 	if s == nil {
-		s = &groupSlot{members: members, counts: make([]int, len(members))}
+		s = &groupSlot{members: members, counts: make([]int, len(members)), base: base}
 		rt.slots[key] = s
 	}
 	return s
@@ -392,16 +394,6 @@ func (rt *runtime) abortSlots() {
 	}
 }
 
-// membersKey packs the member list into a string key (4 bytes LE per
-// rank). Cached on the Group so steady-state collectives skip it.
-func (g *Group) membersKey() string {
-	b := make([]byte, 0, 4*len(g.members))
-	for _, m := range g.members {
-		b = append(b, byte(m), byte(m>>8), byte(m>>16), byte(m>>24))
-	}
-	return string(b)
-}
-
 // fusedCollective is the member side of the engine for Group
 // collectives: post the entry; lazy operations (the phantom collectives,
 // which carry no result) keep running with the release deferred, the
@@ -415,9 +407,6 @@ func (g *Group) fusedCollective(kind fusedKind, root, nbytes int, pl payload, op
 	}
 	for t := kind.tags(); t > 0; t-- {
 		g.nextTag() // keep the tag sequence aligned with the tree path
-	}
-	if g.slot == nil {
-		g.slot = g.p.rt.slot(g.membersKey(), g.members)
 	}
 	if fusedRendezvous(g.p, g.slot, g.me, kind, root, nbytes, 0, lazy) {
 		return payload{}

@@ -3,6 +3,7 @@ package nx
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 )
 
 // Group is an ordered set of process ranks that performs collective
@@ -17,11 +18,10 @@ import (
 // collide; construct one group per concurrent use instead.
 type Group struct {
 	p       *Proc
-	members []int
-	me      int // index of p.rank within members
-	base    Tag
+	members []int // the interned member list, shared run-wide; read-only
+	me      int   // index of p.rank within members
 	seq     Tag
-	slot    *groupSlot // fused-collective rendezvous anchor, resolved lazily
+	slot    *groupSlot // the list's run-wide metadata: tag base, rendezvous anchor
 }
 
 // payload is the value a collective moves around: a byte slice, a float
@@ -38,45 +38,95 @@ func (pl payload) send(p *Proc, dst int, tag Tag) {
 
 // Group creates a collective group from an ordered member list. The calling
 // process must be a member; members must be valid, distinct ranks.
+//
+// A member list is validated, copied and hashed once per run: every
+// process that names the same list gets a handle on the same interned
+// list, tag base and rendezvous slot.
 func (p *Proc) Group(members []int) *Group {
 	if len(members) == 0 {
 		panic("nx: empty group")
 	}
+	s := p.rt.internGroup(members)
 	me := -1
-	// A bitset over the ranks: every process builds World, so a map here
-	// costs a 528-entry map per process at Delta scale.
-	seen := make([]uint64, (p.size+63)/64)
-	h := fnv.New32a()
-	var buf [4]byte
-	for i, m := range members {
-		if m < 0 || m >= p.size {
-			panic(fmt.Sprintf("nx: group member %d out of range [0,%d)", m, p.size))
+	for i, m := range s.members {
+		if m == p.rank {
+			me = i
+			break
+		}
+	}
+	if me < 0 {
+		panic(fmt.Sprintf("nx: rank %d constructing group it is not a member of", p.rank))
+	}
+	return &Group{p: p, members: s.members, me: me, slot: s}
+}
+
+// World returns the group of all processes in rank order.
+func (p *Proc) World() *Group {
+	s := p.rt.world()
+	return &Group{p: p, members: s.members, me: p.rank, slot: s}
+}
+
+// internGroup returns the interned slot of a Group member list, validating
+// and interning a list no process has named yet.
+func (rt *runtime) internGroup(members []int) *groupSlot {
+	var buf [256]byte
+	key := packMembers(buf[:0], members)
+	rt.mu.Lock()
+	s := rt.slots[string(key)]
+	rt.mu.Unlock()
+	// The key keeps 32 bits per rank; the comparison catches an invalid
+	// list that packs like an interned one.
+	if s != nil && slices.Equal(s.members, members) {
+		return s
+	}
+	n := len(rt.procs)
+	// A bitset over the ranks: a map costs a P-entry map at Delta scale.
+	seen := make([]uint64, (n+63)/64)
+	for _, m := range members {
+		if m < 0 || m >= n {
+			panic(fmt.Sprintf("nx: group member %d out of range [0,%d)", m, n))
 		}
 		word, bit := m/64, uint64(1)<<(m%64)
 		if seen[word]&bit != 0 {
 			panic(fmt.Sprintf("nx: duplicate group member %d", m))
 		}
 		seen[word] |= bit
-		if m == p.rank {
-			me = i
-		}
-		buf[0], buf[1], buf[2], buf[3] = byte(m), byte(m>>8), byte(m>>16), byte(m>>24)
-		h.Write(buf[:])
 	}
-	if me < 0 {
-		panic(fmt.Sprintf("nx: rank %d constructing group it is not a member of", p.rank))
-	}
-	base := TagUserMax + Tag(h.Sum32()%(1<<19))<<8
-	return &Group{p: p, members: append([]int(nil), members...), me: me, base: base}
+	return rt.slot(string(key), append([]int(nil), members...), groupTagBase(key))
 }
 
-// World returns the group of all processes in rank order.
-func (p *Proc) World() *Group {
-	members := make([]int, p.size)
+// world returns the interned slot of the all-processes group. Every
+// process asks at start-up, so the built slot is read without a lock;
+// processes that race to build it get the same slot from rt.slot.
+func (rt *runtime) world() *groupSlot {
+	if s := rt.worldSlot.Load(); s != nil {
+		return s
+	}
+	members := make([]int, len(rt.procs))
 	for i := range members {
 		members[i] = i
 	}
-	return p.Group(members)
+	key := packMembers(nil, members)
+	s := rt.slot(string(key), members, groupTagBase(key))
+	rt.worldSlot.Store(s)
+	return s
+}
+
+// packMembers appends the member list's key encoding (4 bytes LE per
+// rank) to dst.
+func packMembers(dst []byte, members []int) []byte {
+	for _, m := range members {
+		dst = append(dst, byte(m), byte(m>>8), byte(m>>16), byte(m>>24))
+	}
+	return dst
+}
+
+// groupTagBase derives a Group's collective tag base from its packed
+// member list.
+func groupTagBase(key []byte) Tag {
+	h := fnv.New32a()
+	h.Write(key)
+	return TagUserMax + Tag(h.Sum32()%(1<<19))<<8
 }
 
 // Size returns the number of group members.
@@ -92,7 +142,7 @@ func (g *Group) Members() []int {
 
 // nextTag advances the per-group collective sequence number.
 func (g *Group) nextTag() Tag {
-	t := g.base + g.seq%256
+	t := g.slot.base + g.seq%256
 	g.seq++
 	return t
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -73,6 +74,88 @@ func TestGroupValidationMessages(t *testing.T) {
 		}
 		if got := fmt.Sprint(pe.Value); got != c.want {
 			t.Fatalf("panic %q, want %q", got, c.want)
+		}
+	}
+}
+
+// TestGroupPanicsOnInternedLists pins the remaining Group panic messages,
+// including on a list another process has already interned and on a list
+// whose 32-bit packing collides with an interned one.
+func TestGroupPanicsOnInternedLists(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		body func(p *Proc)
+		want string
+	}{
+		{"empty", func(p *Proc) { p.Group([]int{}) }, "nx: empty group"},
+		{"not-member", func(p *Proc) { p.Group([]int{0}) }, "nx: rank 1 constructing group it is not a member of"},
+		{"not-member-interned", func(p *Proc) {
+			if p.Rank() == 0 {
+				p.Group([]int{0})
+			}
+			p.World().Barrier() // rank 0 has interned {0} before rank 1 asks
+			if p.Rank() == 1 {
+				p.Group([]int{0})
+			}
+		}, "nx: rank 1 constructing group it is not a member of"},
+		{"packs-like-interned", func(p *Proc) {
+			p.Group([]int{0, 1})
+			big := 1
+			big <<= 32
+			p.Group([]int{0, big + 1}) // packs like {0, 1}
+		}, "nx: group member 4294967297 out of range [0,2)"},
+	} {
+		if c.name == "packs-like-interned" && strconv.IntSize < 64 {
+			continue // no int packs like a valid rank
+		}
+		_, err := Run(Config{Model: tiny(1, 2)}, c.body)
+		var pe *PanicError
+		if !asErr(err, &pe) {
+			t.Fatalf("%s: want PanicError, got %v", c.name, err)
+		}
+		if got := fmt.Sprint(pe.Value); got != c.want {
+			t.Fatalf("%s: panic %q, want %q", c.name, got, c.want)
+		}
+	}
+}
+
+// TestGroupHandlesShareInternedMembers: every process's World handle, and
+// every handle on one Group member list, share one run-wide member list
+// and slot; Members still hands out copies, and the caller's list is not
+// aliased.
+func TestGroupHandlesShareInternedMembers(t *testing.T) {
+	const rows, cols = 2, 3
+	type handles struct{ world, row, all *Group }
+	got := make([]handles, rows*cols)
+	mustRun(t, Config{Model: tiny(rows, cols)}, func(p *Proc) {
+		r := p.Rank() / cols
+		rowList := []int{r * cols, r*cols + 1, r*cols + 2}
+		h := handles{world: p.World(), row: p.Group(rowList), all: p.Group([]int{0, 1, 2, 3, 4, 5})}
+		rowList[0] = -1 // the group keeps its own copy
+		if h.row.members[0] != r*cols {
+			t.Errorf("rank %d: group aliases the caller's list", p.Rank())
+		}
+		m := h.row.Members()
+		m[1] = 99
+		if h.row.Members()[1] != r*cols+1 {
+			t.Errorf("rank %d: Members leaked internal state", p.Rank())
+		}
+		got[p.Rank()] = h
+	})
+	w0 := got[0].world
+	for rank, h := range got {
+		if &h.world.members[0] != &w0.members[0] || h.world.slot != w0.slot {
+			t.Errorf("rank %d: World handle does not share rank 0's list", rank)
+		}
+		if h.all.slot != w0.slot || &h.all.members[0] != &w0.members[0] {
+			t.Errorf("rank %d: Group(0..P-1) does not share World's list", rank)
+		}
+		first := got[(rank/cols)*cols].row
+		if &h.row.members[0] != &first.members[0] || h.row.slot != first.slot {
+			t.Errorf("rank %d: row group does not share its row's list", rank)
+		}
+		if rank >= cols && h.row.slot == got[0].row.slot {
+			t.Errorf("rank %d: distinct rows share a slot", rank)
 		}
 	}
 }

@@ -329,6 +329,8 @@ type runtime struct {
 	wake         []*Proc
 	slotsAborted atomic.Bool
 	pendLimit    int
+	// The World group's interned slot, built by the first World call.
+	worldSlot atomic.Pointer[groupSlot]
 }
 
 // counters aggregates the per-process watchdog counters: how many

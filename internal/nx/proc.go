@@ -278,7 +278,7 @@ func (p *Proc) ExchangeBatchPhantom(peer int, tag Tag, nbytes, count int) {
 		key := string([]byte{'x',
 			byte(lo), byte(lo >> 8), byte(lo >> 16), byte(lo >> 24),
 			byte(hi), byte(hi >> 8), byte(hi >> 16), byte(hi >> 24)})
-		s = p.rt.slot(key, []int{lo, hi})
+		s = p.rt.slot(key, []int{lo, hi}, 0)
 		if p.exchSlots == nil {
 			p.exchSlots = make(map[int]*groupSlot)
 		}
