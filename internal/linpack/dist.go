@@ -218,11 +218,15 @@ func (w *worker) factor() {
 		rowOwner := Owner(j0, w.nb, w.gr) // process row holding the diagonal block
 
 		if w.pc == colOwner {
-			w.panelFactor(j0, kb)
+			w.columnSequence(func() { w.panelFactor(j0, kb) })
 		}
 		panelBuf, ldp, liP0 := w.broadcastPanel(j0, kb, colOwner)
-		w.applyTrailingSwaps(j0, kb, colOwner)
-		u12, wT, lcT := w.trsmU12(j0, kb, rowOwner, panelBuf, ldp, liP0)
+		var u12 []float64
+		var wT, lcT int
+		w.columnSequence(func() {
+			w.applyTrailingSwaps(j0, kb, colOwner)
+			u12, wT, lcT = w.trsmU12(j0, kb, rowOwner, panelBuf, ldp, liP0)
+		})
 		w.update(j0, kb, panelBuf, ldp, liP0, u12, wT, lcT)
 	}
 	// Triangular solve phase: 2N^2 flops spread across the machine at
@@ -231,6 +235,19 @@ func (w *worker) factor() {
 	p := float64(w.gr * w.gc)
 	w.p.Compute(machine.OpVector, 2*float64(w.n)*float64(w.n)/p)
 	w.world.Barrier()
+}
+
+// columnSequence runs body, whose column-group communication is all
+// phantom in phantom mode, as one phantom sequence on the process column:
+// the owner column's panel loop is one sequence per panel, and every
+// column's trailing swaps plus its U12 broadcast another. Real mode runs
+// body as is.
+func (w *worker) columnSequence(body func()) {
+	if w.cfg.Phantom {
+		w.colG.PhantomSequence(body)
+		return
+	}
+	body()
 }
 
 // panelFactor factors the kb-wide panel starting at global column j0; only
@@ -315,6 +332,12 @@ func (w *worker) panelFactor(j0, kb int) {
 func (w *worker) swapRows(j, gRow, lc0, kb int, tag nx.Tag) {
 	ownerJ := Owner(j, w.nb, w.gr)
 	ownerG := Owner(gRow, w.nb, w.gr)
+	if w.cfg.Phantom && ownerJ != ownerG {
+		// A step of the panel's phantom sequence, which every member of
+		// the column records.
+		w.colG.ExchangePhantom(tag, ownerJ, ownerG, 8*kb, 1)
+		return
+	}
 	if w.pr != ownerJ && w.pr != ownerG {
 		return
 	}
@@ -333,11 +356,6 @@ func (w *worker) swapRows(j, gRow, lc0, kb int, tag nx.Tag) {
 		myRow, peerOwner = gRow, ownerJ
 	}
 	peer := w.rank(peerOwner, w.pc)
-	if w.cfg.Phantom {
-		w.p.SendPhantom(peer, tag, 8*kb)
-		w.p.Recv(peer, tag)
-		return
-	}
 	lr := GlobalToLocal(myRow, w.nb, w.gr)
 	mine := make([]float64, kb)
 	for c := 0; c < kb; c++ {
@@ -459,9 +477,8 @@ var trailingSwapsPhantom = (*worker).applyTrailingSwapsPhantom
 
 // applyTrailingSwapsPhantom is the phantom-mode wavefront: the kb row
 // interchanges move no data, so maximal runs of consecutive swaps against
-// one peer grid row batch into a single ExchangeBatchPhantom — one
-// deferred rendezvous instead of 2·cnt mailbox operations, each of which
-// would also force the deferred-settlement chain to settle.
+// one peer grid row batch into a single ExchangePhantom step of the
+// column's phantom sequence, which every member of the column records.
 //
 // Phantom mode keeps no pivot array, and BcastPhantom carries no pivots:
 // only the process column owning the panel knows its pivots (it computed
@@ -509,14 +526,7 @@ func (w *worker) applyTrailingSwapsPhantom(j0, kb, colOwner, ownerJ, width int) 
 			}
 			cnt++
 		}
-		if w.pr != ownerJ && w.pr != ownerG {
-			continue
-		}
-		peerOwner := ownerG
-		if w.pr == ownerG {
-			peerOwner = ownerJ
-		}
-		w.p.ExchangeBatchPhantom(w.rank(peerOwner, w.pc), tagSwapTrail, 8*width, cnt)
+		w.colG.ExchangePhantom(tagSwapTrail, ownerJ, ownerG, 8*width, cnt)
 	}
 }
 
@@ -540,12 +550,7 @@ func (w *worker) trailingSwapsPivotZero(j0, kb, ownerJ, width int) {
 		}
 		return
 	}
-	switch w.pr {
-	case ownerJ:
-		w.p.ExchangeBatchPhantom(w.rank(0, w.pc), tagSwapTrail, 8*width, kb)
-	case 0:
-		w.p.ExchangeBatchPhantom(w.rank(ownerJ, w.pc), tagSwapTrail, 8*width, kb)
-	}
+	w.colG.ExchangePhantom(tagSwapTrail, ownerJ, 0, 8*width, kb)
 }
 
 // trsmU12 computes U12 = L11^-1 * A12 on the grid row owning the diagonal

@@ -22,7 +22,7 @@ package nx
 // gates the equivalence with a differential test (fused_test.go) and a
 // full-report byte-identity cmp step.
 //
-// Four further mechanisms make the engine fast rather than merely
+// Five further mechanisms make the engine fast rather than merely
 // message-free:
 //
 //   - Deferred settlement. A phantom collective returns no data, so a
@@ -54,6 +54,18 @@ package nx
 //     allocate nothing; parked settlers are woken through per-process
 //     channels after the engine lock drops, so a completion waking many
 //     members cannot convoy on the lock.
+//   - Phantom sequences (sequence.go). Group.PhantomSequence records a
+//     run of phantom steps on one group — BcastPhantom, ReducePhantom,
+//     AllreducePhantom, BcastFlatPhantom and Group.ExchangePhantom, with
+//     each member's Compute and Elapse charges between them — and posts
+//     it as one deferred rendezvous whose replay runs the steps in order.
+//     Every member must record the same steps. Sends, receives, Now,
+//     Probe, Barrier, data collectives, other groups' collectives and
+//     nested sequences inside one fail the run. On the tree engine, on
+//     traced runs and for one-member groups a sequence just runs its
+//     body, so the tree engine stays the oracle. A sequence is distinct
+//     from batched posting above: batching files many posts under one
+//     lock hold, a sequence makes many steps one post.
 //
 // One semantic difference from the tree path: a fused collective is a
 // full-group rendezvous in host time — no member's release exists until
@@ -64,9 +76,8 @@ package nx
 // deadlock here and are caught by the watchdog; see the collective-modes
 // section of docs/WORKLOADS.md.
 //
-// The second-generation collectives (ring allreduce, scatter, scan) stay
-// on the message path in every mode; they are ablation baselines, not hot
-// paths.
+// The ring allreduce (collective2.go) stays on the message path in every
+// mode; it is an ablation baseline, not a hot path.
 
 import (
 	"fmt"
@@ -180,6 +191,9 @@ const (
 	// phantom exchanges (send+recv with one peer, repeated entry.count
 	// times) in one rendezvous; see Proc.ExchangeBatchPhantom.
 	fusedExchange
+	// fusedSequence replays a phantom sequence's recorded steps in one
+	// rendezvous; see Group.PhantomSequence.
+	fusedSequence
 )
 
 func (k fusedKind) String() string {
@@ -202,6 +216,8 @@ func (k fusedKind) String() string {
 		return "AllreducePhantom"
 	case fusedExchange:
 		return "ExchangeBatch"
+	case fusedSequence:
+		return "PhantomSequence"
 	}
 	return fmt.Sprintf("fusedKind(%d)", int(k))
 }
@@ -263,15 +279,20 @@ type fusedCell struct {
 	kind     fusedKind
 }
 
-// fusedSide is a rendezvous' cold data, one element per member: payload
-// contributions and reduce ops, result payloads, and trace spans. Only
-// data-carrying or traced rendezvous allocate it, so phantom replay never
-// touches it.
+// fusedSide is a rendezvous' cold data: one element per member of
+// payload contributions and reduce ops, result payloads, and trace spans,
+// which only data-carrying or traced rendezvous allocate, and a phantom
+// sequence's step list. A plain phantom rendezvous has no side.
 type fusedSide struct {
 	pls   []payload
 	ops   []ReduceOp
 	out   []payload
 	spans [][]traceSpan
+	// steps is a phantom sequence's step list: a view of group member
+	// 0's stepBuf, which that member keeps until it has settled the
+	// sequence. hash is the first filer's step hash.
+	steps []seqStep
+	hash  uint64
 }
 
 // traceSpan is one deferred trace record the member applies on release.
@@ -342,6 +363,7 @@ type replayScratch struct {
 	arr  []float64   // per-member arrival times
 	flt  [][]float64 // per-member float-slice scratch (reduce accumulators)
 	sent [][]float64 // reduce: the acc snapshot each member sent
+	cur  []int       // sequence: each member's position in its deltas
 }
 
 // pendRef is one collective on a member's deferred chain. From its post
@@ -351,7 +373,9 @@ type replayScratch struct {
 // which cannot move while the chain is pending (every operation that
 // would move them settles first, and local advances are recorded as
 // deltas); every later entry is symbolic on its predecessor, advanced by
-// deltas (the local advances recorded between the two posts).
+// deltas (the local advances recorded between the two posts). A phantom
+// sequence's post carries its step range in root and count and its step
+// hash in nbytes (see PhantomSequence).
 type pendRef struct {
 	r      *rendezvous
 	s      *groupSlot
@@ -407,6 +431,13 @@ func (g *Group) fusedCollective(kind fusedKind, root, nbytes int, pl payload, op
 	}
 	for t := kind.tags(); t > 0; t-- {
 		g.nextTag() // keep the tag sequence aligned with the tree path
+	}
+	if g.p.seq != nil {
+		if !lazy {
+			panic(fmt.Sprintf("nx: rank %d: %v inside a phantom sequence", g.p.rank, kind))
+		}
+		g.p.recordStep(g.slot, seqStep{kind: kind, a: int32(root), nbytes: nbytes})
+		return payload{}
 	}
 	if fusedRendezvous(g.p, g.slot, g.me, kind, root, nbytes, 0, lazy) {
 		return payload{}
@@ -496,6 +527,10 @@ func (p *Proc) fileQueued(pl payload, op ReduceOp) {
 		r.arrived++
 		pr.r = r
 		c.kind, c.root, c.nbytes, c.count = pr.kind, pr.root, pr.nbytes, pr.count
+		if pr.kind == fusedSequence {
+			p.fileSteps(r, pr)
+			c.root, c.deltas = 0, pr.deltas
+		}
 		if i == 0 {
 			c.clock, c.recvWait = p.clock.Now(), p.stats.RecvWait
 		} else {
@@ -520,11 +555,31 @@ func (p *Proc) fileQueued(pl payload, op ReduceOp) {
 	p.filed = len(p.pend)
 }
 
+// fileSteps files a sequence post's steps: group member 0 lends its list,
+// p.stepBuf[pr.root:][:pr.count], and every filer's step hash (pr.nbytes)
+// must match the first filer's. Caller holds the engine lock.
+func (p *Proc) fileSteps(r *rendezvous, pr *pendRef) {
+	sd := r.stepSide()
+	if pr.idx == 0 {
+		sd.steps = p.stepBuf[pr.root : pr.root+pr.count : pr.root+pr.count]
+	}
+	if h := uint64(pr.nbytes); r.arrived == 1 {
+		sd.hash = h
+	} else if sd.hash != h {
+		panic(fmt.Sprintf("nx: rank %d: phantom sequence steps differ between members of one group", p.rank))
+	}
+}
+
 // flush files this member's queued posts under one engine-lock hold and,
 // when wait is set and the tail rendezvous is not yet complete, registers
 // the member for its completion wakeup in the same hold. It reports
 // whether the member registered and must park.
 func (p *Proc) flush(pl payload, op ReduceOp, wait bool) (registered bool) {
+	if p.seq != nil {
+		// Every operation that needs a concrete clock settles (or, for
+		// Probe, flushes) first, so this refuses them all.
+		panic(fmt.Sprintf("nx: rank %d: send, receive, Now or Probe inside a phantom sequence", p.rank))
+	}
 	rt := p.rt
 	rt.mu.Lock()
 	p.engine.Flushes++
@@ -582,6 +637,7 @@ func (s *groupSlot) takeFree(k int) *rendezvous {
 		for i := range sd.spans {
 			sd.spans[i] = sd.spans[i][:0]
 		}
+		sd.steps = nil
 	}
 	r.arrived, r.unresolved = 0, 0
 	r.settled.Store(0)
@@ -591,29 +647,43 @@ func (s *groupSlot) takeFree(k int) *rendezvous {
 	return r
 }
 
-// sideFor returns the rendezvous' cold data, allocating it on first use.
-// Caller holds the engine lock.
+// sideFor returns the rendezvous' cold data with its per-member slices,
+// allocating them on first use. Caller holds the engine lock.
 func (r *rendezvous) sideFor() *fusedSide {
-	if r.side == nil {
+	sd := r.stepSide()
+	if sd.pls == nil {
 		k := len(r.cells)
-		r.side = &fusedSide{
-			pls:   make([]payload, k),
-			ops:   make([]ReduceOp, k),
-			out:   make([]payload, k),
-			spans: make([][]traceSpan, k),
-		}
+		sd.pls = make([]payload, k)
+		sd.ops = make([]ReduceOp, k)
+		sd.out = make([]payload, k)
+		sd.spans = make([][]traceSpan, k)
+	}
+	return sd
+}
+
+// stepSide returns the rendezvous' cold data without its per-member
+// slices, which a phantom sequence does not need. Caller holds the engine
+// lock.
+func (r *rendezvous) stepSide() *fusedSide {
+	if r.side == nil {
+		r.side = &fusedSide{}
 	}
 	return r.side
 }
 
 // resolveCell makes a symbolic entry concrete from its member's release
 // in the (completed) previous rendezvous: the exact advance sequence the
-// member recorded, replayed on the release clock. Caller holds the engine
-// lock.
+// member recorded, replayed on the release clock. Recorded advances are
+// all positive (see Proc.Compute); a phantom sequence's entry ends at its
+// first stepMark, and the replay applies the rest. Caller holds the
+// engine lock.
 func resolveCell(base, c *fusedCell) {
 	cl := base.clock
 	for _, d := range c.deltas {
-		advance(&cl, d)
+		if !(d > 0) {
+			break
+		}
+		cl += d
 	}
 	c.clock = cl
 	c.recvWait = base.recvWait
@@ -704,7 +774,7 @@ func (p *Proc) settleWith(pl payload, op ReduceOp) payload {
 		rel := &pr.r.cells[pr.idx]
 		bytes += rel.bytes
 		msgs += int64(rel.msgs)
-		if sd := pr.r.side; sd != nil {
+		if sd := pr.r.side; sd != nil && sd.spans != nil {
 			for _, sp := range sd.spans[pr.idx] {
 				p.tview.Add(sp.phase, sp.start, sp.end)
 			}
@@ -713,7 +783,7 @@ func (p *Proc) settleWith(pl payload, op ReduceOp) payload {
 	tail := &p.pend[len(p.pend)-1]
 	last := &tail.r.cells[tail.idx]
 	var out payload
-	if sd := tail.r.side; sd != nil {
+	if sd := tail.r.side; sd != nil && sd.out != nil {
 		out = sd.out[tail.idx]
 	}
 	clock, recvWait := last.clock, last.recvWait
@@ -767,6 +837,7 @@ func (p *Proc) settleWith(pl payload, op ReduceOp) payload {
 	p.filed = 0
 	p.deltaBuf = p.deltaBuf[:0]
 	p.deltaLo = 0
+	p.stepBuf = p.stepBuf[:0]
 	return out
 }
 
@@ -824,7 +895,9 @@ func fusedCompute(p *Proc, r *rendezvous) {
 			panic(fmt.Sprintf("nx: mismatched exchange batch between ranks %d and %d: %d×%dB vs %d×%dB",
 				members[0], members[1], a.count, a.nbytes, b.count, b.nbytes))
 		}
-		f.exchange(a.nbytes, int(a.count))
+		f.exchange(0, 1, a.nbytes, int(a.count))
+	case fusedSequence:
+		f.sequence(r.side.steps)
 	default:
 		panic(fmt.Sprintf("nx: unknown fused collective kind %v", kind))
 	}
@@ -936,18 +1009,18 @@ func (f *fusedSim) bcast(root int) {
 // payload returns member i's payload contribution (zero for phantom
 // rendezvous, which never allocate one).
 func (f *fusedSim) payload(i int) payload {
-	if f.r.side == nil {
-		return payload{}
+	if sd := f.r.side; sd != nil && sd.pls != nil {
+		return sd.pls[i]
 	}
-	return f.r.side.pls[i]
+	return payload{}
 }
 
 // op returns member i's reduce op (nil for phantom rendezvous).
 func (f *fusedSim) op(i int) ReduceOp {
-	if f.r.side == nil {
-		return nil
+	if sd := f.r.side; sd != nil && sd.ops != nil {
+		return sd.ops[i]
 	}
-	return f.r.side.ops[i]
+	return nil
 }
 
 // setOut records member i's result payload. A payload with neither data
@@ -996,8 +1069,8 @@ func (f *fusedSim) bcastPayload(root int, pl payload) {
 // copy is broadcast to every member.
 func (f *fusedSim) bcastReduced(root int) {
 	var red []float64
-	if f.r.side != nil {
-		red = f.r.side.out[root].floats
+	if sd := f.r.side; sd != nil && sd.out != nil {
+		red = sd.out[root].floats
 	}
 	cp := append([]float64(nil), red...)
 	f.bcastPayload(root, payload{floats: cp, bytes: 8 * len(cp)})
@@ -1076,17 +1149,18 @@ func (f *fusedSim) reduce(root int, floats bool) {
 }
 
 // exchange replays a batch of count symmetric pairwise phantom
-// exchanges: each step is, for both members, SendPhantom to the peer then
-// Recv from the peer — sends of a step replayed before its receives,
-// which is each member's program order and satisfies the cross-member
-// arrival dependency, exactly like one dissemination round of barrier.
-func (f *fusedSim) exchange(nbytes, count int) {
+// exchanges between members a and b: each step is, for both members,
+// SendPhantom to the peer then Recv from the peer — sends of a step
+// replayed before its receives, which is each member's program order and
+// satisfies the cross-member arrival dependency, exactly like one
+// dissemination round of barrier.
+func (f *fusedSim) exchange(a, b, nbytes, count int) {
 	arr := f.scratchArr()
 	for s := 0; s < count; s++ {
-		arr[1] = f.send(0, 1, nbytes)
-		arr[0] = f.send(1, 0, nbytes)
-		f.recv(0, arr[0])
-		f.recv(1, arr[1])
+		arr[b] = f.send(a, b, nbytes)
+		arr[a] = f.send(b, a, nbytes)
+		f.recv(a, arr[a])
+		f.recv(b, arr[b])
 	}
 }
 

@@ -229,12 +229,10 @@ func (g *Group) BcastFloats(root int, xs []float64) []float64 {
 }
 
 // BcastPhantom broadcasts a payload-free message accounted as nbytes.
+// Only the root's nbytes counts (a phantom sequence also requires every
+// member's to match).
 func (g *Group) BcastPhantom(root, nbytes int) {
-	var pl payload
-	if g.me == root {
-		pl = payload{bytes: nbytes}
-	}
-	g.bcast(root, pl, true)
+	g.bcast(root, payload{bytes: nbytes}, true)
 }
 
 // BcastFlatPhantom models a naive linear broadcast (the root sends to each

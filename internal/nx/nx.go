@@ -281,6 +281,9 @@ func Run(cfg Config, body func(p *Proc)) (*Result, error) {
 
 	wg.Wait()
 	rt.addEngineStats()
+	for _, p := range rt.procs {
+		p.releaseStepBuf()
+	}
 	close(stop)
 	watchWg.Wait()
 	close(errCh)

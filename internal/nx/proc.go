@@ -36,6 +36,18 @@ type Proc struct {
 	filed    int
 	deltaBuf []float64
 	deltaLo  int
+	// Phantom-sequence state (see PhantomSequence): seq is the group
+	// whose sequence is open (nil outside one), seqSteps its first step
+	// in stepBuf, seqMarkEnd the deltaBuf index past its last mark and
+	// seqHash the running hash of its steps. stepBuf holds the steps of
+	// the chain's sequence posts on groups where this process is member
+	// 0; like deltaBuf it is read by other goroutines once filed and
+	// reset only by settle.
+	seq        *Group
+	seqSteps   int
+	seqMarkEnd int
+	seqHash    uint64
+	stepBuf    []seqStep
 	// wakeCh is this process's private settle wakeup (capacity 1): fused
 	// completions and run teardown signal it, so woken settlers never
 	// re-acquire the engine lock.
@@ -130,9 +142,13 @@ func (p *Proc) Compute(op machine.Op, flops float64) {
 	if len(p.pend) > 0 {
 		// Deferred settlement: the clock is symbolic until the pending
 		// collective releases resolve, so record the advance for the
-		// resolver to replay in order. Tracing disables deferral
+		// resolver to replay in order. Only positive advances move the
+		// clock, so only they are recorded (which leaves non-positive
+		// values free to mark sequence steps). Tracing disables deferral
 		// (lazyOK), so no span is lost here.
-		p.deltaBuf = append(p.deltaBuf, d)
+		if d > 0 {
+			p.deltaBuf = append(p.deltaBuf, d)
+		}
 		p.stats.Flops += flops
 		p.stats.ComputeTime += d
 		return
@@ -148,8 +164,8 @@ func (p *Proc) Compute(op machine.Op, flops float64) {
 // memory movement or I/O). Negative durations are ignored.
 func (p *Proc) Elapse(seconds float64) {
 	if len(p.pend) > 0 {
-		p.deltaBuf = append(p.deltaBuf, seconds)
 		if seconds > 0 {
+			p.deltaBuf = append(p.deltaBuf, seconds)
 			p.stats.ComputeTime += seconds
 		}
 		return
@@ -241,8 +257,9 @@ func (p *Proc) SendPhantom(dst int, tag Tag, nbytes int) {
 // with the same nbytes and count. Virtual times and stats are
 // bit-identical to writing the loop out by hand; in fused mode the whole
 // batch settles as one deferred rendezvous — one synchronization for k
-// exchanges instead of 2k mailbox operations — which is what makes the
-// LINPACK trailing-swap wavefront cheap (see linpack.applyTrailingSwaps).
+// exchanges instead of 2k mailbox operations. Group.ExchangePhantom names
+// the pair by group rank, and inside a phantom sequence makes the batch a
+// step of the sequence instead (see linpack.applyTrailingSwaps).
 func (p *Proc) ExchangeBatchPhantom(peer int, tag Tag, nbytes, count int) {
 	p.checkTag(tag, false)
 	if count <= 0 {
@@ -265,6 +282,9 @@ func (p *Proc) ExchangeBatchPhantom(peer int, tag Tag, nbytes, count int) {
 			p.recvRaw(peer, tag)
 		}
 		return
+	}
+	if p.seq != nil {
+		panic(fmt.Sprintf("nx: rank %d: ExchangeBatchPhantom inside a phantom sequence (use Group.ExchangePhantom)", p.rank))
 	}
 	s := p.exchSlots[peer]
 	if s == nil {
