@@ -3,7 +3,9 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"testing"
 )
@@ -152,5 +154,58 @@ func FuzzDecodeWireJob(f *testing.F) {
 			t.Fatalf("accepted an invalid job: %+v", j)
 		}
 		reencodes(t, j, DecodeWireJob)
+	})
+}
+
+// chunkReader hands its data out at most n bytes per Read, so the frame
+// reader meets short reads at offsets the fuzz input picks.
+type chunkReader struct {
+	data []byte
+	n    int
+}
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	k := copy(p[:min(len(p), r.n)], r.data)
+	r.data = r.data[k:]
+	return k, nil
+}
+
+// FuzzFrameReader: through short reads of any size, the frame reader
+// returns exactly the input's trimmed non-blank lines, then io.EOF when
+// the input ends on a frame boundary (nothing but space after its last
+// newline) and ErrTruncatedFrame when it ends in a non-blank
+// unterminated line — nothing else, and no panic. The seeds in
+// testdata/fuzz/FuzzFrameReader are clean frames, blank and CRLF lines,
+// a torn final frame, a blank unterminated tail and an empty stream.
+func FuzzFrameReader(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
+		parts := bytes.Split(data, []byte("\n"))
+		var want [][]byte
+		for _, p := range parts[:len(parts)-1] {
+			if p = bytes.TrimSpace(p); len(p) > 0 {
+				want = append(want, p)
+			}
+		}
+		torn := len(bytes.TrimSpace(parts[len(parts)-1])) > 0
+		fr := newFrameReader(&chunkReader{data: data, n: int(chunk) + 1})
+		for i := 0; ; i++ {
+			frame, err := fr.next()
+			if err == nil {
+				if i >= len(want) || !bytes.Equal(frame, want[i]) {
+					t.Fatalf("frame %d = %q; want the %d frames %q", i, frame, len(want), want)
+				}
+				continue
+			}
+			if i != len(want) {
+				t.Fatalf("stream ended after %d of %d frames: %v", i, len(want), err)
+			}
+			if torn != errors.Is(err, ErrTruncatedFrame) || torn == errors.Is(err, io.EOF) {
+				t.Fatalf("stream ended with %v; torn tail = %v", err, torn)
+			}
+			return
+		}
 	})
 }

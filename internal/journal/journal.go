@@ -1,10 +1,11 @@
 // Package journal implements the crash-safe sweep journal: an fsync'd
 // append-only JSONL file, one per sweep, keyed by the sweep's identity
-// hash. The first line is a Header naming exactly what the sweep was —
-// mode, registry fingerprint, collective/shard configuration, and the
-// full (workload ID, canonical params) job list — and every line after
-// it is one completed (index, Result) checkpoint, appended in index
-// order through the harness assembler's in-order emit path.
+// hash, written and read through repro/internal/jsonl. The first line is
+// a Header naming exactly what the sweep was — mode, registry
+// fingerprint and the full (workload ID, canonical params) job list —
+// and every line after it is one completed (index, Result) checkpoint,
+// appended in index order through the harness assembler's in-order emit
+// path.
 //
 // `hpcc resume` reopens the file, verifies the identity hash (a journal
 // written by a different binary or a different job list is refused with
@@ -17,7 +18,6 @@
 package journal
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"repro/internal/harness"
+	"repro/internal/jsonl"
 )
 
 // Schema is the journal file schema revision, recorded in every header.
@@ -44,9 +45,9 @@ const keyHexLen = 16
 
 // ErrIdentityMismatch reports a journal whose identity hash does not
 // match what this binary would compute for the same sweep — a different
-// registry fingerprint, job list, or collective/shard configuration.
-// Replaying it could silently mix results from two different experiment
-// definitions, so resume refuses instead.
+// mode, registry fingerprint or job list, or a header edited after it
+// was written. Replaying it could silently mix results from two
+// different experiment definitions, so resume refuses instead.
 var ErrIdentityMismatch = errors.New("journal: identity mismatch")
 
 // ErrExists reports that a journal for this sweep identity already
@@ -63,9 +64,9 @@ type Job struct {
 }
 
 // Header is a journal's first line: the full identity of the sweep it
-// checkpoints. Hash is the identity digest of the other fields; Open
-// recomputes and verifies it, so a journal can never be replayed
-// against a sweep it does not describe.
+// checkpoints. Hash is its Identity digest; Open recomputes and verifies
+// it, so a journal can never be replayed against a sweep it does not
+// describe.
 type Header struct {
 	// Journal is the file schema revision (Schema).
 	Journal int `json:"journal"`
@@ -96,9 +97,11 @@ type Header struct {
 }
 
 // Identity computes the header's identity digest over everything that
-// determines the sweep's bytes: mode, registry fingerprint, collective
-// mode, shard count, and the ordered (workload ID, canonical params)
-// job list. Render-only fields (JSON, Time) are excluded.
+// determines the sweep's bytes: mode, registry fingerprint and the
+// ordered (workload ID, canonical params) job list. Collectives and
+// SimShards stay in the digest, empty for every journal hpcc writes
+// now, only so journals from older binaries keep verifying. Render-only
+// fields (JSON, Time) are excluded.
 func (h Header) Identity() string {
 	sum := sha256.New()
 	io.WriteString(sum, "hpcc-journal\x00")
@@ -175,127 +178,106 @@ func Create(dir string, h Header) (*Journal, error) {
 		f.Close()
 		return nil, fmt.Errorf("journal: encode header: %w", err)
 	}
-	b = append(b, '\n')
-	if _, err := f.Write(b); err != nil {
+	if err := jsonl.Append(f, append(b, '\n')); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("journal: write header: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("journal: sync header: %w", err)
 	}
 	return &Journal{path: path, f: f, header: h}, nil
 }
 
 // Open reopens an existing journal for resuming: it verifies the header
 // against its own identity hash, replays the checkpoint entries into an
-// index → Result map, recovers a torn final line (truncating it with a
-// note on warn — a crash mid-append must never make a journal
-// unresumable), ends a kept final line that lost its newline, and leaves
-// the file positioned for appending. A missing file propagates
-// fs.ErrNotExist.
+// index → Result map (a later entry for an index wins), recovers a torn
+// final line (truncating it with a note on warn — a crash mid-append
+// must never make a journal unresumable), ends a kept final line that
+// lost its newline, and leaves the file positioned for appending. The
+// whole journal is validated before the file is touched, so a refused
+// journal stays byte-identical. A missing file propagates fs.ErrNotExist.
 func Open(path string, warn io.Writer) (*Journal, Header, map[int]harness.Result, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0)
 	if err != nil {
 		return nil, Header{}, nil, fmt.Errorf("journal: open: %w", err)
 	}
-
-	lines, torn, tornOff := splitJournal(data)
-	if len(lines) == 0 {
-		return nil, Header{}, nil, fmt.Errorf("journal: %s is empty", path)
-	}
-
-	var h Header
-	if err := json.Unmarshal(lines[0], &h); err != nil {
-		return nil, Header{}, nil, fmt.Errorf("journal: %s: bad header: %w", path, err)
-	}
-	if h.Journal != Schema {
-		return nil, Header{}, nil, fmt.Errorf("journal: %s has schema %d, this binary speaks %d", path, h.Journal, Schema)
-	}
-	if want := h.Identity(); h.Hash != want {
-		return nil, Header{}, nil, fmt.Errorf("%w: %s records hash %s but its contents hash to %s", ErrIdentityMismatch, path, h.Hash, want)
-	}
-
-	done := make(map[int]harness.Result, len(lines)-1)
-	for n, line := range lines[1:] {
-		var e entry
-		if err := json.Unmarshal(line, &e); err != nil {
-			return nil, Header{}, nil, fmt.Errorf("journal: %s: bad entry on line %d: %w", path, n+2, err)
-		}
-		if e.Index < 0 || e.Index >= len(h.Jobs) {
-			return nil, Header{}, nil, fmt.Errorf("journal: %s: entry index %d out of range [0,%d)", path, e.Index, len(h.Jobs))
-		}
-		done[e.Index] = e.Result
-	}
-
-	if torn {
-		// A crash mid-append left a partial line. The entries before it
-		// are intact; drop the fragment so the next append starts clean.
-		if warn != nil {
-			fmt.Fprintf(warn, "journal: recovered torn tail in %s (dropped %d-byte partial entry)\n", path, len(data)-tornOff)
-		}
-		if err := os.Truncate(path, int64(tornOff)); err != nil {
-			return nil, Header{}, nil, fmt.Errorf("journal: truncate torn tail: %w", err)
-		}
-	}
-
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	h, done, err := replay(path, f)
 	if err != nil {
-		return nil, Header{}, nil, fmt.Errorf("journal: reopen for append: %w", err)
+		f.Close()
+		return nil, Header{}, nil, err
 	}
-	if !torn && data[len(data)-1] != '\n' {
-		// The kept final line only lost its newline: end it, or the next
-		// append would run on from it and make the journal unreadable.
-		if _, err := f.Write([]byte{'\n'}); err != nil {
-			f.Close()
-			return nil, Header{}, nil, fmt.Errorf("journal: terminate final line: %w", err)
-		}
+	// Drop a torn final line, so the next append starts clean, and end a
+	// kept one that lost its newline, or the next append would run on
+	// from it and make the journal unreadable.
+	dropped, err := jsonl.Repair(f, func(text []byte) bool {
+		return len(text) == 0 || json.Valid(text)
+	})
+	if err != nil {
+		f.Close()
+		return nil, Header{}, nil, fmt.Errorf("journal: recover torn tail: %w", err)
+	}
+	if dropped > 0 && warn != nil {
+		fmt.Fprintf(warn, "journal: recovered torn tail in %s (dropped %d-byte partial entry)\n", path, dropped)
 	}
 	return &Journal{path: path, f: f, header: h}, h, done, nil
 }
 
-// splitJournal cuts a journal file into its complete lines, detecting a
-// torn tail: a final line with no terminating newline that also fails
-// to parse as JSON. A final line that parses but merely lacks its
-// newline (crash between write and the '\n' landing is impossible here
-// since entries are written in one piece, but be liberal) is kept as a
-// complete line. Returns the lines, whether a torn fragment was found,
-// and the byte offset the file should be truncated to.
-func splitJournal(data []byte) (lines [][]byte, torn bool, tornOff int) {
-	off := 0
-	for off < len(data) {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			frag := bytes.TrimSpace(data[off:])
-			if len(frag) > 0 && json.Valid(frag) {
-				lines = append(lines, frag)
-				return lines, false, len(data)
-			}
-			return lines, len(frag) > 0, off
-		}
-		line := bytes.TrimSpace(data[off : off+nl])
-		if len(line) > 0 {
-			lines = append(lines, line)
-		}
-		off += nl + 1
+// torn reports whether l is a torn tail: a final line without its
+// newline that is not JSON. One that is JSON merely lost its newline
+// (entries are written in one piece, so this should not happen, but be
+// liberal) and is kept.
+func torn(l jsonl.Line) bool {
+	return l.Unterminated && !json.Valid(l.Text)
+}
+
+// replay reads and validates the header and every entry of the journal
+// in f, decoding the entries in parallel batches (jsonl.Decode).
+func replay(path string, f *os.File) (Header, map[int]harness.Result, error) {
+	r := jsonl.NewReader(f)
+	first, err := r.Next()
+	if errors.Is(err, io.EOF) || (err == nil && torn(first)) {
+		return Header{}, nil, fmt.Errorf("journal: %s is empty", path)
 	}
-	return lines, false, len(data)
+	if err != nil {
+		return Header{}, nil, fmt.Errorf("journal: %w", err)
+	}
+	var h Header
+	if err := json.Unmarshal(first.Text, &h); err != nil {
+		return Header{}, nil, fmt.Errorf("journal: %s: bad header: %w", path, err)
+	}
+	if h.Journal != Schema {
+		return Header{}, nil, fmt.Errorf("journal: %s has schema %d, this binary speaks %d", path, h.Journal, Schema)
+	}
+	if want := h.Identity(); h.Hash != want {
+		return Header{}, nil, fmt.Errorf("%w: %s records hash %s but its contents hash to %s", ErrIdentityMismatch, path, h.Hash, want)
+	}
+
+	done := make(map[int]harness.Result, len(h.Jobs))
+	err = jsonl.Decode(r, jsonl.Batch, func(l jsonl.Line, e *entry, err error) error {
+		switch {
+		case torn(l):
+			return nil // Open truncates it
+		case err != nil:
+			return fmt.Errorf("%s: bad entry on line %d: %w", path, l.No, err)
+		case e.Index < 0 || e.Index >= len(h.Jobs):
+			return fmt.Errorf("%s: entry index %d out of range [0,%d)", path, e.Index, len(h.Jobs))
+		}
+		done[e.Index] = e.Result
+		return nil
+	})
+	if err != nil {
+		return Header{}, nil, fmt.Errorf("journal: %w", err)
+	}
+	return h, done, nil
 }
 
 // Record implements harness.JournalSink: one checkpoint line, written in
-// a single Write call and fsync'd before returning, so a result the
-// sweep has surfaced is always durable.
+// a single Write call and fsync'd before returning (jsonl.Append), so a
+// result the sweep has surfaced is always durable.
 func (j *Journal) Record(index int, res harness.Result) error {
 	b, err := json.Marshal(entry{Index: index, Result: res})
 	if err != nil {
 		return fmt.Errorf("journal: encode entry %d: %w", index, err)
 	}
-	b = append(b, '\n')
-	if _, err := j.f.Write(b); err != nil {
+	if err := jsonl.Append(j.f, append(b, '\n')); err != nil {
 		return fmt.Errorf("journal: append entry %d: %w", index, err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("journal: sync entry %d: %w", index, err)
 	}
 	return nil
 }

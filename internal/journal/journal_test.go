@@ -3,14 +3,18 @@ package journal
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/harness"
+	"repro/internal/jsonl"
 )
 
 func testHeader(n int) Header {
@@ -282,5 +286,140 @@ func TestListAndRemove(t *testing.T) {
 	paths, err = List(filepath.Join(dir, "missing"))
 	if err != nil || len(paths) != 0 {
 		t.Fatalf("List missing dir = %v, %v", paths, err)
+	}
+}
+
+// writeJournal creates a journal of n jobs with one entry recorded per
+// job, then lets edit rewrite its lines (each without its newline; the
+// header is lines[0]) before Open reads it. It returns the path.
+func writeJournal(t *testing.T, n int, edit func(lines [][]byte) [][]byte) string {
+	t.Helper()
+	j, err := Create(t.TempDir(), testHeader(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := j.Record(i, result(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+	data, err := os.ReadFile(j.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n"))
+	if err := os.WriteFile(j.Path(), bytes.Join(edit(lines), []byte("\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return j.Path()
+}
+
+// TestBadEntryReportsPhysicalLine: a bad entry's error names the line it
+// is on in the file, blank lines counted, as the store's errors do.
+func TestBadEntryReportsPhysicalLine(t *testing.T) {
+	path := writeJournal(t, 3, func(lines [][]byte) [][]byte {
+		// header, entry 0, two blank lines, then the broken entry on line 5.
+		return [][]byte{lines[0], lines[1], nil, []byte("  "), []byte(`{"index":1,BROKEN`), lines[3], nil}
+	})
+	_, _, _, err := Open(path, nil)
+	if err == nil || !strings.Contains(err.Error(), "bad entry on line 5:") {
+		t.Fatalf("Open error %v, want one naming line 5", err)
+	}
+}
+
+// TestBatchedReplayEdgeCases drives Open's batched, parallel replay
+// through the shapes where batching could change an answer: entries
+// spanning several decode batches with blank lines among them, a bad
+// entry and an out-of-range index in either order across batches, a torn
+// tail after a full batch, and duplicate indexes. A refused journal must
+// stay byte-identical.
+func TestBatchedReplayEdgeCases(t *testing.T) {
+	const n = 2*jsonl.Batch + 7 // entries fill three batches, the last one partial
+	terminate := func(lines [][]byte) [][]byte { return append(lines, nil) }
+	cases := []struct {
+		name     string
+		edit     func(lines [][]byte) [][]byte
+		entries  int
+		errMatch string // substring of the Open error; "" means success
+		warned   bool
+		check    func(t *testing.T, done map[int]harness.Result)
+	}{
+		{name: "spans batches with blank lines", entries: n, edit: func(lines [][]byte) [][]byte {
+			var out [][]byte
+			for i, l := range lines {
+				out = append(out, l)
+				if i%50 == 0 {
+					out = append(out, nil, []byte("  \t"))
+				}
+			}
+			return terminate(out)
+		}},
+		{name: "bad entry in second batch before an out-of-range index", errMatch: fmt.Sprintf("bad entry on line %d:", jsonl.Batch+11), edit: func(lines [][]byte) [][]byte {
+			lines[jsonl.Batch+10] = []byte(`{"index":3,BROKEN`)
+			lines[jsonl.Batch+20] = []byte(`{"index":99999}`)
+			return terminate(lines)
+		}},
+		{name: "out-of-range index before a bad entry", errMatch: "entry index -1 out of range", edit: func(lines [][]byte) [][]byte {
+			lines[jsonl.Batch-3] = []byte(`{"index":-1}`)
+			lines[jsonl.Batch+5] = []byte(`{"index":3,BROKEN`)
+			return terminate(lines)
+		}},
+		{name: "torn tail after a full batch", entries: 2 * jsonl.Batch, warned: true, edit: func(lines [][]byte) [][]byte {
+			return append(lines[:2*jsonl.Batch+1], []byte(`{"index":1,"res`))
+		}},
+		{name: "duplicate index: the later entry wins", entries: n, edit: func(lines [][]byte) [][]byte {
+			dup := bytes.Replace(lines[n], []byte(`"index":`+strconv.Itoa(n-1)), []byte(`"index":4`), 1)
+			return terminate(append(lines, dup))
+		}, check: func(t *testing.T, done map[int]harness.Result) {
+			if got := done[4].Metrics[0].Value; got != n-1 {
+				t.Fatalf("entry 4 replayed as %v, want the later entry's %d", got, n-1)
+			}
+		}},
+	}
+	for _, procs := range []int{1, 2} {
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("%s/procs=%d", tc.name, procs), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				path := writeJournal(t, n, tc.edit)
+				before, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var warn bytes.Buffer
+				j, _, done, err := Open(path, &warn)
+				switch {
+				case tc.errMatch == "" && err != nil:
+					t.Fatalf("Open: %v", err)
+				case tc.errMatch != "" && (err == nil || !strings.Contains(err.Error(), tc.errMatch)):
+					t.Fatalf("Open error %v, want one containing %q", err, tc.errMatch)
+				}
+				if err != nil {
+					after, rerr := os.ReadFile(path)
+					if rerr != nil {
+						t.Fatal(rerr)
+					}
+					if !bytes.Equal(after, before) {
+						t.Fatal("a refused journal was rewritten")
+					}
+					return
+				}
+				j.Close()
+				if len(done) != tc.entries {
+					t.Fatalf("replayed %d entries, want %d", len(done), tc.entries)
+				}
+				for i := 0; i < tc.entries; i++ {
+					if r, ok := done[i]; !ok || (tc.check == nil && r.Metrics[0].Value != float64(i)) {
+						t.Fatalf("entry %d replayed as %+v", i, r)
+					}
+				}
+				if tc.check != nil {
+					tc.check(t, done)
+				}
+				if got := strings.Contains(warn.String(), "recovered torn tail"); got != tc.warned {
+					t.Fatalf("torn warning = %v, want %v (%q)", got, tc.warned, warn.String())
+				}
+			})
+		}
 	}
 }

@@ -34,8 +34,6 @@
 package store
 
 import (
-	"bufio"
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -43,17 +41,17 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/harness"
+	"repro/internal/jsonl"
 )
 
 // DefaultDir is where the hpcc CLI keeps its run store unless -store
@@ -203,9 +201,9 @@ func shortHash(s string) string {
 // Append writes one snapshot holding the entries and returns its RunID.
 // The store directory and file are created as needed; records are written
 // as one JSONL line each in entry order. The records are encoded in
-// parallel (fanOut) into one buffer per entry and joined in entry order,
-// so the file bytes and the error — the first failing entry's, in entry
-// order — are those of encoding them one by one.
+// parallel (jsonl.FanOut), one buffer per entry, and joined in entry
+// order, so the file bytes and the error — the first failing entry's, in
+// entry order — are those of encoding them one by one.
 func (s *Store) Append(meta Meta, entries []Entry) (string, error) {
 	if len(entries) == 0 {
 		return "", errors.New("store: nothing to append")
@@ -218,16 +216,33 @@ func (s *Store) Append(meta Meta, entries []Entry) (string, error) {
 	}
 	meta.Time = meta.Time.UTC()
 
-	// Heal a torn tail from a crashed earlier append before anything
-	// reads the file: nextSeq's tail scan and load both want a clean
-	// final line.
-	if err := s.repairTail(); err != nil {
-		return "", err
-	}
-
-	seq, err := s.nextSeq()
-	if err != nil {
-		return "", err
+	// One handle heals a torn tail left by a crashed earlier append,
+	// reads the next sequence number off the clean tail and takes the
+	// snapshot. A fragment that parses as a complete record just gets
+	// its newline back; anything else is a torn write and is truncated
+	// away with a warning — the records before it are intact, and
+	// failing here would wedge the store for good. A missing file is
+	// healthy and is created only once the snapshot has encoded.
+	seq := 0
+	f, err := os.OpenFile(s.file(), os.O_RDWR|os.O_APPEND, 0)
+	switch {
+	case err == nil:
+		defer f.Close()
+		dropped, err := jsonl.Repair(f, func(text []byte) bool {
+			var rec Record
+			return json.Unmarshal(text, &rec) == nil
+		})
+		if err != nil {
+			return "", fmt.Errorf("store: repair %s: %w", s.file(), err)
+		}
+		if dropped > 0 {
+			s.warnf("store: dropping torn final line in %s (%d bytes, crash mid-append)\n", s.file(), dropped)
+		}
+		if seq, err = s.nextSeq(f); err != nil {
+			return "", err
+		}
+	case !errors.Is(err, fs.ErrNotExist):
+		return "", fmt.Errorf("store: open %s: %w", s.file(), err)
 	}
 	runID := fmt.Sprintf("%s-%03d", meta.Time.Format("20060102T150405"), seq)
 
@@ -236,110 +251,31 @@ func (s *Store) Append(meta Meta, entries []Entry) (string, error) {
 	// leave a partial snapshot as `latest`.
 	lines := make([][]byte, len(entries))
 	errs := make([]error, len(entries))
-	fanOut(len(entries), func(i int) {
+	jsonl.FanOut(len(entries), func(i int) {
 		lines[i], errs[i] = encodeRecord(runID, meta, entries[i])
 	})
-	size := len(entries)
-	for i, err := range errs {
+	for _, err := range errs {
 		if err != nil {
 			return "", err
 		}
-		size += len(lines[i])
 	}
-	buf := make([]byte, 0, size)
-	for _, line := range lines {
-		buf = append(buf, line...)
-		buf = append(buf, '\n')
-	}
+	buf := slices.Concat(lines...)
 
-	if err := os.MkdirAll(s.dir, 0o755); err != nil {
-		return "", fmt.Errorf("store: create %s: %w", s.dir, err)
-	}
-	f, err := os.OpenFile(s.file(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return "", fmt.Errorf("store: open %s: %w", s.file(), err)
-	}
-	defer f.Close()
-	if _, err := f.Write(buf); err != nil {
-		return "", fmt.Errorf("store: write %s: %w", s.file(), err)
+	if f == nil {
+		if err := os.MkdirAll(s.dir, 0o755); err != nil {
+			return "", fmt.Errorf("store: create %s: %w", s.dir, err)
+		}
+		if f, err = os.OpenFile(s.file(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
+			return "", fmt.Errorf("store: open %s: %w", s.file(), err)
+		}
+		defer f.Close()
 	}
 	// fsync before reporting success: the store is the system of record,
 	// and a snapshot the caller was told about must survive a crash.
-	if err := f.Sync(); err != nil {
-		return "", fmt.Errorf("store: sync %s: %w", s.file(), err)
+	if err := jsonl.Append(f, buf); err != nil {
+		return "", fmt.Errorf("store: write %s: %w", s.file(), err)
 	}
 	return runID, nil
-}
-
-// repairTail heals the store file after a crash mid-append left a final
-// line without its terminating newline. A fragment that parses as a
-// complete record just gets its newline back; anything else is a torn
-// write and is truncated away with a warning — the records before it
-// are intact, and failing here would wedge the store for good. A
-// missing file is healthy.
-func (s *Store) repairTail() error {
-	f, err := os.OpenFile(s.file(), os.O_RDWR, 0o644)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("store: open %s: %w", s.file(), err)
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return fmt.Errorf("store: stat %s: %w", s.file(), err)
-	}
-	size := st.Size()
-	if size == 0 {
-		return nil
-	}
-	last := make([]byte, 1)
-	if _, err := f.ReadAt(last, size-1); err != nil {
-		return fmt.Errorf("store: read %s: %w", s.file(), err)
-	}
-	if last[0] == '\n' {
-		return nil
-	}
-
-	// Unterminated final line: scan back to its start.
-	const chunk = 64 * 1024
-	var frag []byte
-	off := size
-	for off > 0 {
-		n := int64(chunk)
-		if n > off {
-			n = off
-		}
-		off -= n
-		head := make([]byte, n)
-		if _, err := f.ReadAt(head, off); err != nil {
-			return fmt.Errorf("store: read %s: %w", s.file(), err)
-		}
-		frag = append(head, frag...)
-		if i := bytes.LastIndexByte(frag, '\n'); i >= 0 {
-			off += int64(i + 1)
-			frag = frag[i+1:]
-			break
-		}
-	}
-
-	var rec Record
-	if json.Unmarshal(bytes.TrimSpace(frag), &rec) == nil {
-		// The record landed whole; only its newline is missing.
-		if _, err := f.WriteAt([]byte{'\n'}, size); err != nil {
-			return fmt.Errorf("store: repair %s: %w", s.file(), err)
-		}
-	} else {
-		s.warnf("store: dropping torn final line in %s (%d bytes, crash mid-append)\n", s.file(), len(frag))
-		if err := f.Truncate(off); err != nil {
-			return fmt.Errorf("store: truncate torn tail of %s: %w", s.file(), err)
-		}
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("store: sync %s: %w", s.file(), err)
-	}
-	return nil
 }
 
 // ValidateTag rejects tags the ref grammar cannot reach: "latest" and
@@ -356,8 +292,7 @@ func ValidateTag(tag string) error {
 	return nil
 }
 
-// encodeRecord builds one entry's record and encodes it as a JSONL line
-// (without the newline).
+// encodeRecord builds one entry's record and encodes it as a JSONL line.
 func encodeRecord(runID string, meta Meta, e Entry) ([]byte, error) {
 	rec, err := newRecord(runID, meta, e)
 	if err != nil {
@@ -367,7 +302,7 @@ func encodeRecord(runID string, meta Meta, e Entry) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: encode record %s: %w", rec.WorkloadID, err)
 	}
-	return line, nil
+	return append(line, '\n'), nil
 }
 
 func newRecord(runID string, meta Meta, e Entry) (Record, error) {
@@ -390,10 +325,8 @@ func newRecord(runID string, meta Meta, e Entry) (Record, error) {
 	}, nil
 }
 
-// loadBatch is how many non-blank lines load reads before decoding them
-// together: enough to keep every core busy, small enough that load never
-// holds more than a batch of raw lines beside the decoded records.
-const loadBatch = 256
+// loadBatch is how many non-blank lines load decodes together.
+const loadBatch = jsonl.Batch
 
 // load reads every record in file order. A missing file is an empty
 // store, not an error, and neither is a torn final line: a crash
@@ -403,12 +336,10 @@ const loadBatch = 256
 // line that fails to parse is still a hard error — that is corruption,
 // not a crash artifact.
 //
-// Lines stream through one buffered reader in batches of batch non-blank
-// lines (loadBatch outside tests), so the whole file is never held in
-// memory. Each batch is decoded in parallel (fanOut) straight into the
-// output slice and then checked in file order, so the first bad line,
-// the torn-tail warning and the newer-schema rejection are exactly those
-// of a line-by-line decode.
+// Lines stream through jsonl.Decode in batches of batch lines (loadBatch
+// outside tests), and the output grows by a batch when it is full. The
+// whole file is never held in memory, and the first bad line, the torn-tail
+// warning and the newer-schema rejection are those of a line-by-line decode.
 func (s *Store) load(batch int) ([]Record, error) {
 	f, err := os.Open(s.file())
 	if errors.Is(err, fs.ErrNotExist) {
@@ -420,119 +351,50 @@ func (s *Store) load(batch int) ([]Record, error) {
 	defer f.Close()
 
 	var out []Record
-	// The pending batch: each non-blank line (trimmed) and its line
-	// number. Only the last line read can lack its newline (torn).
-	texts := make([][]byte, 0, batch)
-	lineNos := make([]int, 0, batch)
-	torn := false
-	flush := func() error {
-		base := len(out)
-		out = slices.Grow(out, len(texts))[:base+len(texts)]
-		errs := make([]error, len(texts))
-		fanOut(len(texts), func(i int) {
-			errs[i] = json.Unmarshal(texts[i], &out[base+i])
-		})
-		for i, uerr := range errs {
-			if uerr != nil {
-				if torn && i == len(texts)-1 {
-					s.warnf("store: ignoring torn final line in %s (%d bytes, crash mid-append); the next append will repair it\n",
-						s.file(), len(texts[i]))
-					out = out[:base+i]
-					break
-				}
-				return fmt.Errorf("store: %s line %d: %w", s.file(), lineNos[i], uerr)
-			}
-			if rec := &out[base+i]; rec.Schema > Schema {
-				return fmt.Errorf("store: %s line %d: schema %d is newer than supported %d",
-					s.file(), lineNos[i], rec.Schema, Schema)
-			}
+	err = jsonl.Decode(jsonl.NewReader(f), batch, func(l jsonl.Line, rec *Record, err error) error {
+		switch {
+		case err != nil && l.Unterminated:
+			s.warnf("store: ignoring torn final line in %s (%d bytes, crash mid-append); the next append will repair it\n",
+				s.file(), len(l.Text))
+			return nil
+		case err != nil:
+			return fmt.Errorf("%s line %d: %w", s.file(), l.No, err)
+		case rec.Schema > Schema:
+			return fmt.Errorf("%s line %d: schema %d is newer than supported %d",
+				s.file(), l.No, rec.Schema, Schema)
 		}
-		texts, lineNos = texts[:0], lineNos[:0]
+		if len(out) == cap(out) {
+			out = slices.Grow(out, batch)
+		}
+		out = append(out, *rec)
 		return nil
-	}
-
-	br := bufio.NewReaderSize(f, 1<<20)
-	line := 0
-	for {
-		raw, err := br.ReadBytes('\n')
-		terminated := err == nil
-		if err != nil && !errors.Is(err, io.EOF) {
-			if ferr := flush(); ferr != nil {
-				return nil, ferr
-			}
-			return nil, fmt.Errorf("store: read %s: %w", s.file(), err)
-		}
-		text := bytes.TrimSpace(raw)
-		if len(text) == 0 {
-			if !terminated {
-				break
-			}
-			line++
-			continue
-		}
-		line++
-		texts = append(texts, text)
-		lineNos = append(lineNos, line)
-		if !terminated {
-			torn = true
-			break
-		}
-		if len(texts) == batch {
-			if err := flush(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		return nil, err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
 	return out, nil
 }
 
-// fanOut calls fn(i) for every i in [0, n), split into contiguous chunks
-// over GOMAXPROCS goroutines, and returns once every call has. Callers
-// write each result into its own slot and read the slots back in index
-// order, so what they report never depends on scheduling.
-func fanOut(n int, fn func(i int)) {
-	workers := min(runtime.GOMAXPROCS(0), n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
+// runIDOnly is the minimal decode of a record that sequence numbering
+// needs.
+type runIDOnly struct {
+	RunID string `json:"run_id"`
 }
 
-// nextSeq picks the sequence number for a new snapshot. The file is
-// append-only and every RunID this package writes ends in "-NNN" with NNN
-// strictly increasing, so reading just the final line gives the next
-// number in O(tail) instead of O(history); a store with unparseable run
-// IDs falls back to counting distinct RunIDs with a minimal per-line
-// decode.
-func (s *Store) nextSeq() (int, error) {
-	line, err := s.lastLine()
+// nextSeq picks the sequence number for a new snapshot in the healed
+// store file f. The file is append-only and every RunID this package
+// writes ends in "-NNN" with NNN strictly increasing, so reading just the
+// final line gives the next number in O(tail) instead of O(history); a
+// store with unparseable run IDs falls back to counting distinct RunIDs.
+func (s *Store) nextSeq(f *os.File) (int, error) {
+	line, err := jsonl.LastLine(f)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("store: %w", err)
 	}
 	if line == nil {
 		return 0, nil
 	}
-	var rec struct {
-		RunID string `json:"run_id"`
-	}
+	var rec runIDOnly
 	if json.Unmarshal(line, &rec) == nil {
 		if i := strings.LastIndexByte(rec.RunID, '-'); i >= 0 {
 			if n, err := strconv.Atoi(rec.RunID[i+1:]); err == nil && n >= 0 {
@@ -540,86 +402,23 @@ func (s *Store) nextSeq() (int, error) {
 			}
 		}
 	}
-	return s.countSnapshots()
+	return s.countSnapshots(f)
 }
 
-// lastLine reads the final non-empty line of the store file by scanning
-// backwards in chunks from the end, so it touches only the tail however
-// long the history is. It returns nil for a missing or empty file.
-func (s *Store) lastLine() ([]byte, error) {
-	f, err := os.Open(s.file())
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: open %s: %w", s.file(), err)
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("store: stat %s: %w", s.file(), err)
-	}
-
-	const chunk = 64 * 1024
-	var buf []byte
-	off := st.Size()
-	for off > 0 {
-		n := int64(chunk)
-		if n > off {
-			n = off
-		}
-		off -= n
-		head := make([]byte, n)
-		if _, err := f.ReadAt(head, off); err != nil {
-			return nil, fmt.Errorf("store: read %s: %w", s.file(), err)
-		}
-		buf = append(head, buf...)
-		tail := bytes.TrimRight(buf, " \t\r\n")
-		if len(tail) == 0 {
-			continue
-		}
-		if i := bytes.LastIndexByte(tail, '\n'); i >= 0 {
-			return bytes.TrimSpace(tail[i+1:]), nil
-		}
-	}
-	tail := bytes.TrimSpace(buf)
-	if len(tail) == 0 {
-		return nil, nil
-	}
-	return tail, nil
-}
-
-// countSnapshots counts distinct RunIDs with a minimal per-line decode —
-// the fallback when the tail's RunID does not carry a usable sequence
-// suffix.
-func (s *Store) countSnapshots() (int, error) {
-	f, err := os.Open(s.file())
-	if errors.Is(err, fs.ErrNotExist) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, fmt.Errorf("store: open %s: %w", s.file(), err)
-	}
-	defer f.Close()
-
+// countSnapshots counts the distinct RunIDs in f — the fallback when the
+// tail's RunID does not carry a usable sequence suffix.
+func (s *Store) countSnapshots(f *os.File) (int, error) {
 	seen := make(map[string]bool)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-	for sc.Scan() {
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		var rec struct {
-			RunID string `json:"run_id"`
-		}
-		if err := json.Unmarshal([]byte(text), &rec); err != nil {
-			return 0, fmt.Errorf("store: %s: %w", s.file(), err)
+	r := jsonl.NewReader(io.NewSectionReader(f, 0, math.MaxInt64))
+	err := jsonl.Decode(r, loadBatch, func(_ jsonl.Line, rec *runIDOnly, err error) error {
+		if err != nil {
+			return fmt.Errorf("%s: %w", s.file(), err)
 		}
 		seen[rec.RunID] = true
-	}
-	if err := sc.Err(); err != nil {
-		return 0, fmt.Errorf("store: read %s: %w", s.file(), err)
+		return nil
+	})
+	if err != nil {
+		return 0, fmt.Errorf("store: %w", err)
 	}
 	return len(seen), nil
 }
@@ -753,28 +552,27 @@ func (s *Store) Prune(keep int) (removed int, err error) {
 	}
 	kept := snaps[len(snaps)-keep:]
 
+	var buf []byte
+	for _, snap := range kept {
+		for _, rec := range snap.Records {
+			line, err := json.Marshal(rec)
+			if err != nil {
+				return 0, fmt.Errorf("store: prune: encode record: %w", err)
+			}
+			buf = append(append(buf, line...), '\n')
+		}
+	}
 	tmp, err := os.CreateTemp(s.dir, fileName+".tmp-*")
 	if err != nil {
 		return 0, fmt.Errorf("store: prune: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	w := bufio.NewWriter(tmp)
-	for _, snap := range kept {
-		for _, rec := range snap.Records {
-			line, err := json.Marshal(rec)
-			if err != nil {
-				tmp.Close()
-				return 0, fmt.Errorf("store: prune: encode record: %w", err)
-			}
-			w.Write(line)
-			w.WriteByte('\n')
-		}
+	// Synced before the rename, so the rewrite is as durable as Append.
+	err = jsonl.Append(tmp, buf)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		return 0, fmt.Errorf("store: prune: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
+	if err != nil {
 		return 0, fmt.Errorf("store: prune: %w", err)
 	}
 	if err := os.Rename(tmp.Name(), s.file()); err != nil {

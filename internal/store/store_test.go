@@ -1,8 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -517,5 +519,34 @@ func TestNextSeqSurvivesPrune(t *testing.T) {
 		if id4 == old {
 			t.Fatalf("RunID %s reused after prune", id4)
 		}
+	}
+}
+
+// TestNextSeqCountsRunIDsWithoutSuffix: when the final record's RunID has
+// no numeric suffix, the next sequence number is the count of distinct
+// RunIDs in the file, blank lines and all.
+func TestNextSeqCountsRunIDsWithoutSuffix(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(s.Dir(), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var file bytes.Buffer
+	for _, id := range []string{"alpha", "beta", "alpha"} {
+		line, err := encodeRecord(id, Meta{Time: at(0)}, Entry{Result: testResult("w", 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		file.Write(line)
+		file.WriteString("\n")
+	}
+	if err := os.WriteFile(s.file(), file.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	id := mustAppend(t, s, Meta{Time: at(1)}, Entry{Result: testResult("w", 2)})
+	if !strings.HasSuffix(id, "-002") {
+		t.Fatalf("RunID %s, want sequence 002 after two distinct run IDs", id)
 	}
 }
