@@ -551,8 +551,13 @@ func BenchmarkReportParallel(b *testing.B) {
 		b.Run(benchName("j", workers), func(b *testing.B) {
 			p := core.NewProgram()
 			p.Quick = true
+			ex := harness.LocalExecutor{Workers: workers}
 			for i := 0; i < b.N; i++ {
-				if err := p.WriteReportJobs(ctx, io.Discard, workers); err != nil {
+				results, err := p.ReportResultsExec(ctx, ex, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := core.WriteResults(io.Discard, results); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,8 +1,7 @@
 // Command hpcc is the single front door to the HPCC reproduction: it
 // lists, runs and sweeps every registered workload — the paper exhibits
 // E1-E7, the Grand Challenge kernels, the LINPACK and NREN experiments —
-// persists results to a run store, diffs snapshots across commits, and
-// carries the legacy single-purpose tools as subcommands.
+// persists results to a run store, and diffs snapshots across commits.
 //
 // Usage:
 //
@@ -18,7 +17,7 @@
 //	hpcc sweep -remote host1:7841,host2:7841   # sweep across a fleet
 //	hpcc serve -addr 127.0.0.1:8080 -cache .hpcc-cache -store .hpcc-store
 //	hpcc diff [-store DIR] [-threshold 0.05] [-json] [old-ref [new-ref]]
-//	hpcc linpack | nren | delta | funding   # the old binaries
+//	hpcc run linpack/delta -p real=true -p n=768 -p pr=2 -p pc=4   # real numerics
 //
 // The longitudinal loop the paper itself ran — measure, record, compare
 // against last time — is two commands:

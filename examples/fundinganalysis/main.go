@@ -1,6 +1,7 @@
 // Fundinganalysis: the programmatic side of the paper as data — regenerate
-// the FY92-93 budget table, derive growth and shares, and cross-reference
-// the responsibilities matrix with the consortium rosters.
+// the FY92-93 budget table and the FY93 request chart, derive growth and
+// shares, cross-reference the responsibilities matrix with the consortium
+// rosters, and list the program's goals.
 //
 //	go run ./examples/fundinganalysis
 package main
@@ -17,6 +18,14 @@ func main() {
 	lines := funding.FY9293()
 
 	fmt.Print(funding.Table().Render())
+	fmt.Println()
+
+	labels := make([]string, len(lines))
+	fy93 := make([]float64, len(lines))
+	for i, l := range lines {
+		labels[i], fy93[i] = l.Agency, l.FY93
+	}
+	fmt.Print(report.BarChart("FY 1993 request ($M)", labels, fy93, 40))
 	fmt.Println()
 
 	// Which agencies carry each program component?
@@ -57,5 +66,11 @@ func main() {
 	fmt.Println("CAS industrial participants:")
 	for _, name := range agency.CASIndustry() {
 		fmt.Printf("  - %s\n", name)
+	}
+	fmt.Println()
+
+	fmt.Println("Program goals:")
+	for i, g := range agency.Goals() {
+		fmt.Printf("  %d. %s\n", i+1, g)
 	}
 }

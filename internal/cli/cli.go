@@ -1,7 +1,6 @@
 // Package cli implements the hpcc command: one front door to every
 // workload in the registry — the paper exhibits, the Grand Challenge
-// kernels, the LINPACK and NREN experiments — plus the legacy
-// single-purpose tools as subcommands.
+// kernels, the LINPACK and NREN experiments.
 //
 //	hpcc report             # every exhibit, across host cores
 //	hpcc list               # the workload catalog
@@ -10,18 +9,15 @@
 //	hpcc sweep -shards 4    # the same sweep across 4 worker processes
 //	hpcc worker             # shard child: the wire protocol on stdin/stdout
 //	hpcc diff latest~1 latest  # compare two stored snapshots
-//	hpcc linpack -sweep nb  # the old linpack binary
-//	hpcc nren -storm        # the old nrensim binary
-//	hpcc delta              # the old deltasim binary
-//	hpcc funding            # the old funding binary
+//	hpcc run linpack/delta -p real=true -p n=768  # real numerics + residual
 //
 // # How the pipeline hangs together
 //
 // Each workload package registers itself with repro/internal/harness at
 // init time (the blank imports below pull every family in). The
 // subcommands then only ever talk to the registry: list walks it, and
-// run, report, sweep, resume and the legacy tools build a job list and
-// hand it to one driver (driver.go) over a harness.Executor — for run a
+// run, report, sweep and resume build a job list and hand it to one
+// driver (driver.go) over a harness.Executor — for run a
 // one-worker in-process pool, for report and sweep the pool (-j) or the
 // wire executor, which with -shards N re-execs this binary as N `hpcc
 // worker` children and speaks the JSONL wire protocol over their
@@ -75,10 +71,6 @@ func commands() []command {
 		{"diff", "compare two stored snapshots and flag metric regressions", cmdDiff},
 		{"trend", "print one workload metric across stored snapshots (CLI twin of /api/v1/trend)", cmdTrend},
 		{"cache", "result-cache maintenance: prune entries by age/size", cmdCache},
-		{"linpack", "LINPACK benchmark and parameter sweeps (legacy tool)", cmdLinpack},
-		{"nren", "consortium network experiments (legacy tool)", cmdNren},
-		{"delta", "Delta mesh interconnect characterization (legacy tool)", cmdDelta},
-		{"funding", "federal HPCC budget tables and analytics (legacy tool)", cmdFunding},
 	}
 }
 

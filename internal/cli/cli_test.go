@@ -156,18 +156,13 @@ func TestSweepIDsSubset(t *testing.T) {
 	}
 }
 
-func TestLegacyFundingCSV(t *testing.T) {
-	out, _, code := run(t, "funding", "-csv")
-	if code != 0 {
-		t.Fatalf("exit %d", code)
-	}
-	if !strings.Contains(out, "DARPA,232.2,275.0") || !strings.Contains(out, "Total,654.8,802.9") {
-		t.Fatalf("funding CSV wrong:\n%s", out)
-	}
-}
+// The legacy tool subcommands are gone; each TestLegacy* test runs the
+// run or sweep invocation that replaces one of them (README.md lists the
+// mapping) with the old test's assertions.
 
+// TestLegacyLinpackQuickConfig: `hpcc linpack -n 1024 -pr 2 -pc 4`.
 func TestLegacyLinpackQuickConfig(t *testing.T) {
-	out, _, code := run(t, "linpack", "-n", "1024", "-pr", "2", "-pc", "4")
+	out, _, code := run(t, "run", "linpack/delta", "-p", "n=1024", "-p", "pr=2", "-p", "pc=4")
 	if code != 0 {
 		t.Fatalf("exit %d", code)
 	}
@@ -176,8 +171,9 @@ func TestLegacyLinpackQuickConfig(t *testing.T) {
 	}
 }
 
+// TestLegacyDeltaSmallMesh: `hpcc delta -rows 4 -cols 4 -packets 5`.
 func TestLegacyDeltaSmallMesh(t *testing.T) {
-	out, _, code := run(t, "delta", "-rows", "4", "-cols", "4", "-packets", "5")
+	out, _, code := run(t, "run", "mesh/saturation", "-p", "rows=4", "-p", "cols=4", "-p", "packets=5")
 	if code != 0 {
 		t.Fatalf("exit %d", code)
 	}
@@ -186,8 +182,9 @@ func TestLegacyDeltaSmallMesh(t *testing.T) {
 	}
 }
 
+// TestLegacyNrenLinkClasses: `hpcc nren`.
 func TestLegacyNrenLinkClasses(t *testing.T) {
-	out, _, code := run(t, "nren")
+	out, _, code := run(t, "sweep", "-ids", "nren/link-classes,nren/transfer-matrix")
 	if code != 0 {
 		t.Fatalf("exit %d", code)
 	}
@@ -195,6 +192,80 @@ func TestLegacyNrenLinkClasses(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("nren output missing %q", want)
 		}
+	}
+}
+
+// TestLegacyCommandsUnknown: the removed tool subcommands are unknown
+// commands, with the usage text and exit code 2.
+func TestLegacyCommandsUnknown(t *testing.T) {
+	for _, name := range []string{"linpack", "nren", "delta", "funding"} {
+		_, errOut, code := run(t, name)
+		if code != 2 || !strings.Contains(errOut, "unknown command") || !strings.Contains(errOut, "usage: hpcc") {
+			t.Fatalf("%s: exit %d, stderr %q", name, code, errOut)
+		}
+	}
+}
+
+// TestRunLinpackReal: real=true factors real numbers on the simulated
+// grid and appends the residual check to the table; -json carries it as
+// a lower-is-better metric.
+func TestRunLinpackReal(t *testing.T) {
+	args := []string{"run", "linpack/delta", "-p", "real=true", "-p", "n=768", "-p", "pr=2", "-p", "pc=4"}
+	out, errOut, code := run(t, args...)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut)
+	}
+	for _, want := range []string{"LINPACK\n", "768  16   2x4", "\nnormalized residual: 0.017\n"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("real-mode output missing %q:\n%s", want, out)
+		}
+	}
+	if !strings.HasSuffix(out, "normalized residual: 0.017\n") {
+		t.Fatalf("residual line is not last:\n%s", out)
+	}
+	js, _, code := run(t, append(args, "-json")...)
+	if code != 0 {
+		t.Fatalf("-json exit %d", code)
+	}
+	var res harness.Result
+	if err := json.Unmarshal([]byte(js), &res); err != nil {
+		t.Fatal(err)
+	}
+	m, ok := res.Metric("residual")
+	if !ok || m.Dir != harness.DirLower || m.Value <= 0 || m.Value > 1 {
+		t.Fatalf("residual metric = %+v (present %v), want a small lower-is-better value", m, ok)
+	}
+	if res.Text != out {
+		t.Fatalf("-json text differs from the text output:\n%q\n%q", res.Text, out)
+	}
+}
+
+// TestRunLinpackRealRefused: real=true at the default order N=25000 hits
+// the N=4096 cap before anything runs, and real takes only booleans.
+func TestRunLinpackRealRefused(t *testing.T) {
+	_, errOut, code := run(t, "run", "linpack/delta", "-p", "real=true")
+	if code != 1 || !strings.Contains(errOut, "capped at N=4096 (got 25000); lower the n parameter") {
+		t.Fatalf("real at N=25000: exit %d, stderr %q", code, errOut)
+	}
+	_, errOut, code = run(t, "run", "linpack/delta", "-quick", "-p", "real=maybe")
+	if code != 1 || !strings.Contains(errOut, `real="maybe"`) {
+		t.Fatalf("real=maybe: exit %d, stderr %q", code, errOut)
+	}
+}
+
+// TestRunLinpackRealFalseIsDefault: real=false is the phantom run,
+// byte for byte.
+func TestRunLinpackRealFalseIsDefault(t *testing.T) {
+	want, _, code := run(t, "run", "linpack/delta", "-quick", "-json")
+	if code != 0 {
+		t.Fatalf("exit %d", code)
+	}
+	got, _, code := run(t, "run", "linpack/delta", "-quick", "-json", "-p", "real=false")
+	if code != 0 {
+		t.Fatalf("real=false exit %d", code)
+	}
+	if got != want {
+		t.Fatalf("real=false differs from the default:\n%s\n---\n%s", got, want)
 	}
 }
 

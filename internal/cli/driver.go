@@ -1,9 +1,9 @@
 package cli
 
 // The job driver: the one path every job-running command takes. run,
-// report (and report -e), sweep, the legacy veneers and resume each
-// build a job list and an inner executor and hand both to drive, which
-// layers the result cache and the journal on top, runs the jobs under
+// report (and report -e), sweep and resume each build a job list and an
+// inner executor and hand both to drive, which layers the result cache
+// and the journal on top, runs the jobs under
 // the -drain grace and the -budget deadline, streams text as the
 // completed prefix grows (JSON prints at the end), closes the journal
 // out and persists to the run store. A job therefore behaves the same
@@ -37,17 +37,6 @@ type jobRun struct {
 	store   storeFlags
 	budget  budgetFlags
 	grace   time.Duration // -drain: how long in-flight jobs outlive a signal
-}
-
-// runJob is the driver's one-job form behind run, report -e and the
-// legacy veneers: the job runs on a one-worker local pool, which
-// contains a panicking workload like any sweep does.
-func runJob(w harness.Workload, p harness.Params) jobRun {
-	return jobRun{
-		mode: "run",
-		jobs: []harness.Job{{Workload: w, Params: p}},
-		exec: harness.LocalExecutor{Workers: 1},
-	}
 }
 
 func (r jobRun) drive(ctx context.Context, stdout, stderr io.Writer) error {

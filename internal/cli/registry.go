@@ -210,8 +210,14 @@ func cmdRun(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 	if err != nil {
 		return err
 	}
-	r := runJob(w, harness.Params{Quick: *quick, Seed: *seed, Values: overrides.vals})
-	r.jsonOut, r.cache, r.journal, r.store, r.budget = *jsonOut, resultCache, jf, sf, bf
+	// One job on a one-worker local pool, which contains a panicking
+	// workload like any sweep does.
+	r := jobRun{
+		mode:    "run",
+		jobs:    []harness.Job{{Workload: w, Params: harness.Params{Quick: *quick, Seed: *seed, Values: overrides.vals}}},
+		exec:    harness.LocalExecutor{Workers: 1},
+		jsonOut: *jsonOut, cache: resultCache, journal: jf, store: sf, budget: bf,
+	}
 	before := nx.ReadEngineStats()
 	err = r.drive(ctx, stdout, stderr)
 	if *engineStats {

@@ -224,6 +224,37 @@ func TestServeRunWorkloadErrorIs500(t *testing.T) {
 	}
 }
 
+// TestServeRunRealLinpackCapped: real LINPACK numerics through the API
+// are bounded like on the command line: an order past the N=4096 cap is
+// refused before the factorization starts, and nothing reaches the cache.
+func TestServeRunRealLinpackCapped(t *testing.T) {
+	dir := t.TempDir()
+	cf := cacheFlags{dir: dir}
+	c, err := cf.open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &server{
+		cache:  c,
+		stderr: io.Discard,
+		newExec: func() (harness.Executor, error) {
+			return harness.LocalExecutor{Workers: 1}, nil
+		},
+	}
+	ts := httptest.NewServer(srv.handler())
+	t.Cleanup(ts.Close)
+	resp, body := postJSON(t, ts.URL+"/api/v1/run", `{"id":"linpack/delta","values":{"real":"true","n":"5000"}}`)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500: %s", resp.StatusCode, body)
+	}
+	if !strings.Contains(body, "capped at N=4096 (got 5000)") {
+		t.Fatalf("error body does not name the cap: %s", body)
+	}
+	if n, err := c.Len(); err != nil || n != 0 {
+		t.Fatalf("cache holds %d entries (%v) after a refused run", n, err)
+	}
+}
+
 // TestServeRunPanicIsContained: a panicking workload is a 500 on every
 // identical request. The compute runs on the executor stack, which
 // contains the panic, so the coalescing flight never sees one: a repeat

@@ -7,13 +7,14 @@
 // The exhibits are registered as harness workloads (IDs "E1".."E7"), so
 // they are also reachable through the workload registry and the concurrent
 // sweep engine. A downstream user builds a Program with NewProgram and
-// either runs a single experiment by ID or regenerates the full report,
-// optionally across host cores:
+// either runs a single experiment by ID or regenerates the full report on
+// any harness.Executor:
 //
 //	prog := core.NewProgram()
-//	text, err := prog.RunExperiment("E4")  // Delta LINPACK
-//	err = prog.WriteReport(os.Stdout)      // everything, sequential
-//	err = prog.WriteReportJobs(ctx, os.Stdout, runtime.NumCPU()) // same bytes, parallel
+//	text, err := prog.RunExperiment("E4") // Delta LINPACK
+//	ex := harness.LocalExecutor{Workers: runtime.NumCPU()}
+//	results, err := prog.ReportResultsExec(ctx, ex, nil) // same bytes at any Workers
+//	err = core.WriteResults(os.Stdout, results)
 package core
 
 import (
@@ -75,7 +76,7 @@ type Experiment struct {
 // so the result cache can serve `hpcc report -cache` from disk. Bump it
 // whenever any exhibit's rendering or underlying model changes output for
 // a fixed Params — all seven share it, since they share the Program model.
-const exhibitVersion = "hpcc-1992.3"
+const exhibitVersion = "hpcc-1992.4"
 
 // exhibit is a paper exhibit as a harness workload: runnable against a
 // fresh default Program through the registry, or against a configured
@@ -216,27 +217,17 @@ func (p *Program) Experiments() []Experiment {
 
 // RunExperiment regenerates a single exhibit by ID ("E1".."E7").
 func (p *Program) RunExperiment(id string) (string, error) {
-	res, err := p.ExperimentResult(id)
+	e, err := findExhibit(id)
 	if err != nil {
 		return "", err
 	}
-	return res.Text, nil
-}
-
-// ExperimentResult regenerates a single exhibit by ID as a structured
-// harness result (title, paper claim, text, metrics).
-func (p *Program) ExperimentResult(id string) (harness.Result, error) {
-	e, err := findExhibit(id)
-	if err != nil {
-		return harness.Result{}, err
-	}
-	return e.runWith(context.Background(), p)
+	return e.run(context.Background(), p)
 }
 
 // ExperimentWorkload returns one exhibit as a harness.Workload bound to
 // this Program — the handle result-cache callers need (stable ID, kernel
-// version) without running anything yet. Running it produces exactly
-// ExperimentResult's output.
+// version) without running anything yet. Running it produces the
+// structured result whose text RunExperiment returns.
 func (p *Program) ExperimentWorkload(id string) (harness.Workload, error) {
 	e, err := findExhibit(id)
 	if err != nil {
@@ -256,19 +247,6 @@ func findExhibit(id string) (exhibit, error) {
 		ids = append(ids, e.id)
 	}
 	return exhibit{}, fmt.Errorf("core: unknown experiment %q (have %s)", id, strings.Join(ids, ", "))
-}
-
-// WriteReport regenerates every exhibit into w, sequentially.
-func (p *Program) WriteReport(w io.Writer) error {
-	return p.WriteReportJobs(context.Background(), w, 1)
-}
-
-// ReportResults runs every exhibit through the sweep engine on `workers`
-// goroutines (workers < 1 means one per host core) and returns the
-// structured results in paper order — the order is deterministic however
-// many workers run.
-func (p *Program) ReportResults(ctx context.Context, workers int) ([]harness.Result, error) {
-	return p.ReportResultsExec(ctx, harness.LocalExecutor{Workers: workers}, nil)
 }
 
 // ReportResultsExec runs every exhibit on the given executor and returns
@@ -315,18 +293,6 @@ func ReportError(err error) error {
 		return fmt.Errorf("core: %s: %w", je.WorkloadID, je.Err)
 	}
 	return fmt.Errorf("core: report: %w", err)
-}
-
-// WriteReportJobs regenerates every exhibit into w using `workers`
-// concurrent workers. Output is byte-identical to the sequential
-// WriteReport regardless of workers: the sweep engine assembles results
-// in paper order.
-func (p *Program) WriteReportJobs(ctx context.Context, w io.Writer, workers int) error {
-	results, err := p.ReportResults(ctx, workers)
-	if err != nil {
-		return err
-	}
-	return WriteResults(w, results)
 }
 
 // WriteResults renders structured exhibit results in the report's text

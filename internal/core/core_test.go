@@ -62,7 +62,7 @@ func TestE1ContainsPaperNumbers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"DARPA", "232.2", "802.9", "Growth"} {
+	for _, want := range []string{"DARPA", "232.2", "654.8", "802.9", "Growth"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("E1 missing %q:\n%s", want, out)
 		}
@@ -133,14 +133,25 @@ func TestE6E7QuickScaling(t *testing.T) {
 	}
 }
 
+// writeReport regenerates every exhibit of p into a string through the
+// report's job list on a local pool of the given size.
+func writeReport(t *testing.T, ctx context.Context, p *Program, workers int) string {
+	t.Helper()
+	results, err := p.ReportResultsExec(ctx, harness.LocalExecutor{Workers: workers}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteResults(&buf, results); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
 func TestWriteReportQuick(t *testing.T) {
 	p := NewProgram()
 	p.Quick = true
-	var buf bytes.Buffer
-	if err := p.WriteReport(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out := writeReport(t, context.Background(), p, 1)
 	for _, e := range p.Experiments() {
 		if !strings.Contains(out, "=== "+e.ID+":") {
 			t.Fatalf("report missing %s", e.ID)
@@ -153,14 +164,7 @@ func TestWriteReportJobsByteIdentical(t *testing.T) {
 	for _, workers := range []int{2, 4, 0} { // 0 = one per host core
 		p := NewProgram()
 		p.Quick = true
-		var seq, par bytes.Buffer
-		if err := p.WriteReportJobs(ctx, &seq, 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.WriteReportJobs(ctx, &par, workers); err != nil {
-			t.Fatal(err)
-		}
-		if seq.String() != par.String() {
+		if writeReport(t, ctx, p, 1) != writeReport(t, ctx, p, workers) {
 			t.Fatalf("report with %d workers differs from sequential", workers)
 		}
 	}
@@ -202,7 +206,7 @@ func TestReportResultsCancellation(t *testing.T) {
 	cancel()
 	p := NewProgram()
 	p.Quick = true
-	_, err := p.ReportResults(ctx, 2)
+	_, err := p.ReportResultsExec(ctx, harness.LocalExecutor{Workers: 2}, nil)
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}

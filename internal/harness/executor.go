@@ -7,7 +7,7 @@ import (
 
 // Executor runs a batch of sweep jobs and assembles their Results in job
 // order. Two engines implement it: LocalExecutor, the in-process
-// goroutine pool Sweep has always used, and RemoteExecutor (remote.go),
+// goroutine pool (sweep.go), and RemoteExecutor (remote.go),
 // which fans jobs out to worker processes over the JSONL wire protocol
 // in wire.go — over TCP, or through ShardExecutor (shard.go), which
 // dials by spawning child processes. CachingExecutor (cacheexec.go) and
@@ -40,11 +40,6 @@ type LocalExecutor struct {
 	// Execute returns the completed prefix with ErrDrained. A nil
 	// channel never drains.
 	Drain <-chan struct{}
-}
-
-// Execute implements Executor on the in-process pool.
-func (e LocalExecutor) Execute(ctx context.Context, jobs []Job, emit func(int, Result)) ([]Result, error) {
-	return sweepEmit(ctx, jobs, e.Workers, e.Drain, emit)
 }
 
 // assembler collects out-of-order job completions and surfaces them as

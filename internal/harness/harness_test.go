@@ -139,11 +139,11 @@ func TestSweepParallelMatchesSequential(t *testing.T) {
 			Params:   Params{Seed: int64(i)}.WithValue("n", fmt.Sprint(i)),
 		})
 	}
-	seq, err := Sweep(context.Background(), jobs, 1)
+	seq, err := LocalExecutor{Workers: 1}.Execute(context.Background(), jobs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Sweep(context.Background(), jobs, 8)
+	par, err := LocalExecutor{Workers: 8}.Execute(context.Background(), jobs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestSweepFirstErrorWins(t *testing.T) {
 				return Result{Text: "ok"}, nil
 			})})
 	}
-	_, err := Sweep(context.Background(), jobs, 4)
+	_, err := LocalExecutor{Workers: 4}.Execute(context.Background(), jobs, nil)
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("want boom, got %v", err)
 	}
@@ -202,7 +202,7 @@ func TestSweepContextCancellationMidSweep(t *testing.T) {
 		<-started // at least one job is running
 		cancel()
 	}()
-	_, err := Sweep(ctx, jobs, 2)
+	_, err := LocalExecutor{Workers: 2}.Execute(ctx, jobs, nil)
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -212,12 +212,12 @@ func TestSweepContextCancellationMidSweep(t *testing.T) {
 }
 
 func TestSweepEmptyAndDefaults(t *testing.T) {
-	res, err := Sweep(context.Background(), nil, 0)
+	res, err := LocalExecutor{}.Execute(context.Background(), nil, nil)
 	if err != nil || res != nil {
 		t.Fatalf("empty sweep: %v, %v", res, err)
 	}
 	// workers<1 falls back to DefaultWorkers and still completes.
-	res, err = Sweep(context.Background(), []Job{{Workload: echo("solo")}}, 0)
+	res, err = LocalExecutor{}.Execute(context.Background(), []Job{{Workload: echo("solo")}}, nil)
 	if err != nil || len(res) != 1 {
 		t.Fatalf("default workers sweep: %v, %v", res, err)
 	}
@@ -227,8 +227,8 @@ func TestSweepEmptyAndDefaults(t *testing.T) {
 }
 
 func TestSweepValues(t *testing.T) {
-	res, err := SweepValues(context.Background(), echo("sv"), Params{},
-		"n", []string{"1", "2", "3"}, 3)
+	res, err := LocalExecutor{Workers: 3}.Execute(context.Background(),
+		ValueJobs(echo("sv"), Params{}, "n", []string{"1", "2", "3"}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestSweepFailureReturnsOnlyCompletedPrefix(t *testing.T) {
 				return Result{Text: fmt.Sprintf("ok %d\n", i)}, nil
 			})})
 	}
-	results, err := Sweep(context.Background(), jobs, len(jobs))
+	results, err := LocalExecutor{Workers: len(jobs)}.Execute(context.Background(), jobs, nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("want boom, got %v", err)
 	}

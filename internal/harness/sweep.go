@@ -69,26 +69,18 @@ func safeRun(ctx context.Context, w Workload, p Params) (res Result, err error) 
 // host core.
 func DefaultWorkers() int { return runtime.NumCPU() }
 
-// Sweep executes the jobs on a pool of `workers` goroutines and returns
-// results in job order — assembly is deterministic, so parallel output is
-// byte-identical to a sequential run regardless of completion order.
-//
-// workers < 1 means DefaultWorkers(). On the first failure the engine
-// cancels the remaining jobs' context, drains the pool, and returns the
-// lowest-indexed error; results then holds only the longest
-// fully-completed prefix of the jobs, so every returned Result is real —
-// no slot ever holds a zero-value placeholder for a job that failed or
-// never ran. Cancelling ctx stops dispatch and returns ctx.Err().
-func Sweep(ctx context.Context, jobs []Job, workers int) ([]Result, error) {
-	return sweepEmit(ctx, jobs, workers, nil, nil)
-}
-
-// sweepEmit is Sweep with an optional streaming callback and an optional
-// drain channel: emit, when non-nil, receives each result in strictly
-// ascending index order as the completed prefix grows (the
-// Executor.Execute contract); drain, when it closes, stops dispatch
-// without cancelling in-flight jobs (the graceful-shutdown contract).
-func sweepEmit(ctx context.Context, jobs []Job, workers int, drain <-chan struct{}, emit func(int, Result)) ([]Result, error) {
+// Execute implements Executor on the in-process pool: the jobs run on
+// e.Workers goroutines and come back in job order — assembly is
+// deterministic, so parallel output is byte-identical to a sequential
+// run regardless of completion order. On the first failure it cancels
+// the remaining jobs' context, drains the pool, and returns the
+// lowest-indexed error with only the longest fully-completed prefix of
+// the jobs, so every returned Result is real — no slot ever holds a
+// zero-value placeholder for a job that failed or never ran. Cancelling
+// ctx stops dispatch and returns ctx.Err(); closing e.Drain stops
+// dispatch without cancelling in-flight jobs.
+func (e LocalExecutor) Execute(ctx context.Context, jobs []Job, emit func(int, Result)) ([]Result, error) {
+	workers := e.Workers
 	if workers < 1 {
 		workers = DefaultWorkers()
 	}
@@ -149,7 +141,7 @@ dispatch:
 		case <-ctx.Done():
 			dispatchErr = ctx.Err()
 			break dispatch
-		case <-drain:
+		case <-e.Drain:
 			// A drain stops dispatch only: jobs already feeding stay
 			// live under ctx, and the completed prefix remains valid.
 			dispatchErr = ErrDrained
@@ -190,8 +182,8 @@ func sweepErr(ctx context.Context, errs []error, dispatchErr error) error {
 }
 
 // WorkloadJobs pairs each workload with the same base params — the "run
-// the whole portfolio" case. Callers hand the jobs to any Executor (or
-// Sweep) and, when persisting, read each job's Params back by index.
+// the whole portfolio" case. Callers hand the jobs to any Executor and,
+// when persisting, read each job's Params back by index.
 func WorkloadJobs(ws []Workload, base Params) []Job {
 	jobs := make([]Job, len(ws))
 	for i, w := range ws {
@@ -210,11 +202,4 @@ func ValueJobs(w Workload, base Params, name string, values []string) []Job {
 		jobs[i] = Job{Workload: w, Params: base.WithValue(name, v)}
 	}
 	return jobs
-}
-
-// SweepValues expands one workload over successive overrides of a single
-// parameter and runs the points concurrently: the classic
-// "GFLOPS vs block size" sweep.
-func SweepValues(ctx context.Context, w Workload, base Params, name string, values []string, workers int) ([]Result, error) {
-	return Sweep(ctx, ValueJobs(w, base, name, values), workers)
 }

@@ -71,7 +71,7 @@ func Run(cfg Config) (*Outcome, error) {
 			cfg.GridRows, cfg.GridCols, p, cfg.Model.Nodes())
 	}
 	if !cfg.Phantom && cfg.N > 4096 {
-		return nil, fmt.Errorf("linpack: real-numerics mode capped at N=4096 (got %d); use Phantom", cfg.N)
+		return nil, fmt.Errorf("linpack: real-numerics mode capped at N=4096 (got %d); lower the n parameter", cfg.N)
 	}
 
 	factTimes := make([]float64, p)

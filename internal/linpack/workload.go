@@ -3,6 +3,7 @@ package linpack
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"repro/internal/harness"
 	"repro/internal/machine"
@@ -13,11 +14,12 @@ import (
 // (workload ID, params, this string), so the result cache serves repeat
 // runs from disk. Bump it whenever the factorization, the machine models
 // it runs on, or the rendered table change output for a fixed Params.
-const kernelVersion = "lu-3"
+const kernelVersion = "lu-4"
 
 // The LINPACK simulator as registry workloads: the paper's headline Delta
-// run plus the classic parameter sweeps, all phantom-mode and
-// deterministic for a fixed seed.
+// run plus the classic parameter sweeps, phantom-mode by default and
+// deterministic for a fixed seed. linpack/delta alone also factors real
+// numbers (real=true, N capped at 4096) and checks the residual.
 func init() {
 	harness.MustRegister(harness.Spec{
 		WorkloadID: "linpack/delta",
@@ -28,6 +30,7 @@ func init() {
 			{Name: "nb", Default: "16", Doc: "block size"},
 			{Name: "pr", Default: "16", Doc: "process grid rows"},
 			{Name: "pc", Default: "33", Doc: "process grid columns"},
+			{Name: "real", Default: "false", Doc: "real numerics with a residual check (n <= 4096)"},
 		},
 		RunFunc: runDeltaWorkload,
 		// Pin the headline metrics' good directions explicitly instead of
@@ -39,6 +42,7 @@ func init() {
 			"efficiency":   harness.DirHigher,
 			"simulated-s":  harness.DirLower,
 			"model-gflops": harness.DirHigher,
+			"residual":     harness.DirLower,
 		},
 	})
 	harness.MustRegister(harness.Spec{
@@ -173,6 +177,12 @@ func runDeltaWorkload(ctx context.Context, p harness.Params) (harness.Result, er
 	if err != nil {
 		return harness.Result{}, err
 	}
+	v := p.Value("real", "false")
+	numeric, err := strconv.ParseBool(v)
+	if err != nil {
+		return harness.Result{}, fmt.Errorf("linpack: param real=%q: %w", v, err)
+	}
+	cfg.Phantom = !numeric
 	cfg.Ctx = ctx
 	out, err := Run(cfg)
 	if err != nil {
@@ -187,6 +197,10 @@ func runDeltaWorkload(ctx context.Context, p harness.Params) (harness.Result, er
 	res.AddMetric("efficiency", out.Efficiency, "")
 	res.AddMetric("simulated-s", out.FactTime, "s")
 	res.AddMetric("model-gflops", PredictGFlops(cfg), "GFLOPS")
+	if numeric {
+		res.Text += fmt.Sprintf("normalized residual: %.3f\n", out.Residual)
+		res.AddMetric("residual", out.Residual, "")
+	}
 	return res, nil
 }
 

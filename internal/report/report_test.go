@@ -45,17 +45,6 @@ func TestTableLongRowPanics(t *testing.T) {
 	tbl.AddRow("1", "2")
 }
 
-func TestTableCSV(t *testing.T) {
-	tbl := NewTable("", "Name", "Note")
-	tbl.AddRow("plain", "ok")
-	tbl.AddRow("with,comma", `say "hi"`)
-	csv := tbl.CSV()
-	want := "Name,Note\nplain,ok\n\"with,comma\",\"say \"\"hi\"\"\"\n"
-	if csv != want {
-		t.Fatalf("CSV =\n%q\nwant\n%q", csv, want)
-	}
-}
-
 func TestTableExplicitAligns(t *testing.T) {
 	tbl := NewTable("", "L", "R")
 	tbl.Aligns = []Align{Right, Left}

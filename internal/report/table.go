@@ -1,4 +1,4 @@
-// Package report renders the tables, ASCII charts and CSV exports used to
+// Package report renders the tables and ASCII charts used to
 // regenerate every exhibit of the paper. All output is plain text so that
 // benchmark harnesses can print the same rows the paper reports.
 //
@@ -113,32 +113,6 @@ func (t *Table) Render() string {
 	b.WriteByte('\n')
 	for _, row := range t.Rows {
 		writeRow(row)
-	}
-	return b.String()
-}
-
-// CSV returns the table in RFC-4180-ish CSV form (header row first). Cells
-// containing commas, quotes or newlines are quoted.
-func (t *Table) CSV() string {
-	var b strings.Builder
-	writeRec := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				b.WriteByte('"')
-				b.WriteString(strings.ReplaceAll(c, `"`, `""`))
-				b.WriteByte('"')
-			} else {
-				b.WriteString(c)
-			}
-		}
-		b.WriteByte('\n')
-	}
-	writeRec(t.Columns)
-	for _, row := range t.Rows {
-		writeRec(row)
 	}
 	return b.String()
 }

@@ -424,22 +424,38 @@ func (s *Store) countSnapshots(f *os.File) (int, error) {
 }
 
 // Snapshots groups the store's records by RunID, oldest first (append
-// order, which is how `latest` and `latest~N` count).
+// order, which is how `latest` and `latest~N` count). The snapshots share
+// load's record array: each run's records are grouped in place, in
+// first-seen order, and handed out as a capped sub-slice, so appending to
+// one snapshot's Records copies it rather than overwriting the next.
 func (s *Store) Snapshots() ([]Snapshot, error) {
 	recs, err := s.load(loadBatch)
 	if err != nil {
 		return nil, err
 	}
-	var out []Snapshot
-	index := make(map[string]int)
-	for _, r := range recs {
-		i, ok := index[r.RunID]
-		if !ok {
-			i = len(out)
-			index[r.RunID] = i
-			out = append(out, Snapshot{RunID: r.RunID, Commit: r.Commit, Tag: r.Tag, Time: r.Time})
+	// Append writes a run's records in one write, so a run's records are
+	// contiguous unless writers raced on the file.
+	order := make(map[string]int)
+	contiguous := true
+	for i, r := range recs {
+		if _, seen := order[r.RunID]; !seen {
+			order[r.RunID] = len(order)
+		} else if recs[i-1].RunID != r.RunID {
+			contiguous = false
 		}
-		out[i].Records = append(out[i].Records, r)
+	}
+	if !contiguous {
+		slices.SortStableFunc(recs, func(a, b Record) int { return order[a.RunID] - order[b.RunID] })
+	}
+	out := make([]Snapshot, 0, len(order))
+	for a := 0; a < len(recs); {
+		b := a + 1
+		for b < len(recs) && recs[b].RunID == recs[a].RunID {
+			b++
+		}
+		r := recs[a]
+		out = append(out, Snapshot{RunID: r.RunID, Commit: r.Commit, Tag: r.Tag, Time: r.Time, Records: recs[a:b:b]})
+		a = b
 	}
 	return out, nil
 }

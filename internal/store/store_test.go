@@ -3,9 +3,12 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -548,5 +551,87 @@ func TestNextSeqCountsRunIDsWithoutSuffix(t *testing.T) {
 	id := mustAppend(t, s, Meta{Time: at(1)}, Entry{Result: testResult("w", 2)})
 	if !strings.HasSuffix(id, "-002") {
 		t.Fatalf("RunID %s, want sequence 002 after two distinct run IDs", id)
+	}
+}
+
+// writeRuns writes one record per run ID, in the given order, straight
+// into s's file: the shape of a store whose appenders interleaved.
+func writeRuns(t *testing.T, s *Store, runIDs ...string) {
+	t.Helper()
+	if err := os.MkdirAll(s.Dir(), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var file bytes.Buffer
+	for i, id := range runIDs {
+		meta := Meta{Commit: "c-" + id, Tag: "t-" + id, Time: at(i)}
+		line, err := encodeRecord(id, meta, Entry{Result: testResult(fmt.Sprintf("w%d", i), float64(i+1))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		file.Write(line)
+		file.WriteString("\n")
+	}
+	if err := os.WriteFile(s.file(), file.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSnapshotsInterleavedRunIDs: records of interleaved runs group by
+// RunID in first-seen order, each run's records in file order and its
+// metadata from its first record — what a grouping into freshly
+// appended per-run slices gives.
+func TestSnapshotsInterleavedRunIDs(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeRuns(t, s, "b", "a", "b", "c", "a", "a", "c", "b")
+	recs, err := s.load(loadBatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []Snapshot
+	index := make(map[string]int)
+	for _, r := range recs {
+		i, ok := index[r.RunID]
+		if !ok {
+			i = len(want)
+			index[r.RunID] = i
+			want = append(want, Snapshot{RunID: r.RunID, Commit: r.Commit, Tag: r.Tag, Time: r.Time})
+		}
+		want[i].Records = append(want[i].Records, r)
+	}
+	got, err := s.Snapshots()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("snapshots differ from the per-run grouping:\ngot  %+v\nwant %+v", got, want)
+	}
+	if len(got) != 3 || got[0].RunID != "b" || len(got[0].Records) != 3 || got[0].Time != at(0) {
+		t.Fatalf("first snapshot = %s with %d records at %v, want b with 3 at %v",
+			got[0].RunID, len(got[0].Records), got[0].Time, at(0))
+	}
+}
+
+// TestSnapshotsAppendKeepsNextIntact: the snapshots share one record
+// array, so each one's Records must be capped — appending to one must not
+// overwrite the records of the snapshot after it.
+func TestSnapshotsAppendKeepsNextIntact(t *testing.T) {
+	for _, order := range [][]string{{"a", "a", "b", "b"}, {"a", "b", "a", "b"}} {
+		s, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeRuns(t, s, order...)
+		snaps, err := s.Snapshots()
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := slices.Clone(snaps[1].Records)
+		snaps[0].Records = append(snaps[0].Records, Record{RunID: "intruder"})
+		if !reflect.DeepEqual(snaps[1].Records, next) {
+			t.Fatalf("%v: appending to snapshot 0 changed snapshot 1: %+v", order, snaps[1].Records)
+		}
 	}
 }
