@@ -195,17 +195,6 @@ func TestLegacyNrenLinkClasses(t *testing.T) {
 	}
 }
 
-// TestLegacyCommandsUnknown: the removed tool subcommands are unknown
-// commands, with the usage text and exit code 2.
-func TestLegacyCommandsUnknown(t *testing.T) {
-	for _, name := range []string{"linpack", "nren", "delta", "funding"} {
-		_, errOut, code := run(t, name)
-		if code != 2 || !strings.Contains(errOut, "unknown command") || !strings.Contains(errOut, "usage: hpcc") {
-			t.Fatalf("%s: exit %d, stderr %q", name, code, errOut)
-		}
-	}
-}
-
 // TestRunLinpackReal: real=true factors real numbers on the simulated
 // grid and appends the residual check to the table; -json carries it as
 // a lower-is-better metric.
@@ -269,12 +258,16 @@ func TestRunLinpackRealFalseIsDefault(t *testing.T) {
 	}
 }
 
+// TestUnknownCommandUsage: an unknown command — the removed tool
+// subcommands included — exits 2 with the usage text.
 func TestUnknownCommandUsage(t *testing.T) {
-	_, errOut, code := run(t, "frobnicate")
-	if code != 2 || !strings.Contains(errOut, "usage: hpcc") {
-		t.Fatalf("exit %d, stderr %q", code, errOut)
+	for _, name := range []string{"frobnicate", "linpack", "nren", "delta", "funding"} {
+		_, errOut, code := run(t, name)
+		if code != 2 || !strings.Contains(errOut, "usage: hpcc") {
+			t.Fatalf("%s: exit %d, stderr %q", name, code, errOut)
+		}
 	}
-	_, errOut, code = run(t)
+	_, errOut, code := run(t)
 	if code != 2 || !strings.Contains(errOut, "usage: hpcc") {
 		t.Fatalf("no-args exit %d, stderr %q", code, errOut)
 	}
