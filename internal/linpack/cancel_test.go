@@ -63,3 +63,26 @@ func TestWorkloadVersionDeclared(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRealCtxCancelStopsSimulation: real mode at Delta's full grid
+// does its setup before the first collective cheaply enough that a
+// cancelled Config.Ctx stops the run promptly, as in phantom mode.
+func TestRunRealCtxCancelStopsSimulation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(30 * time.Millisecond)
+		cancel()
+	}()
+	start := time.Now()
+	_, err := Run(Config{
+		N: 2048, NB: 16, GridRows: 16, GridCols: 33,
+		Model: machine.Delta(), Seed: 1,
+		Ctx: ctx,
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Fatalf("cancellation took %v, want prompt teardown", elapsed)
+	}
+}

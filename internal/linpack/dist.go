@@ -78,15 +78,23 @@ func Run(cfg Config) (*Outcome, error) {
 	residual := math.NaN()
 	var keptLU []float64
 	var keptPiv []int
+	// Real mode generates the global matrix once. The processes copy their
+	// block-cyclic slices from this shared, read-only array and rank 0's
+	// verification reuses it as the original A, so a run holds O(N^2)
+	// matrix memory whatever the grid size.
+	var global []float64
+	if !cfg.Phantom {
+		global = blas.NewRandom(cfg.N, cfg.Seed)
+	}
 
 	res, err := nx.Run(nx.Config{Model: cfg.Model, Procs: p, Trace: cfg.Trace, Ctx: cfg.Ctx}, func(proc *nx.Proc) {
-		w := newWorker(proc, cfg)
+		w := newWorker(proc, cfg, global)
 		w.factor()
 		// synchronize and record the timed region before verification
 		w.world.Barrier()
 		factTimes[proc.Rank()] = proc.Now()
 		if !cfg.Phantom {
-			if r, lu, ok := w.verify(); ok {
+			if r, lu, ok := w.verify(global); ok {
 				residual = r
 				if cfg.KeepFactors {
 					keptLU = lu
@@ -138,7 +146,9 @@ type worker struct {
 	colG   *nx.Group // my grid column: ranks (r*gc + pc)
 }
 
-func newWorker(p *nx.Proc, cfg Config) *worker {
+// newWorker sets up one process; in real mode it copies the process's
+// block-cyclic slice of global, which it does not modify.
+func newWorker(p *nx.Proc, cfg Config, global []float64) *worker {
 	w := &worker{
 		p: p, cfg: cfg,
 		n: cfg.N, nb: cfg.NB,
@@ -164,10 +174,9 @@ func newWorker(p *nx.Proc, cfg Config) *worker {
 	w.colG = p.Group(colMembers)
 
 	if !cfg.Phantom {
-		// Every process generates the global matrix from the shared seed
-		// and keeps its block-cyclic slice; this avoids a distribution
-		// phase that the benchmark would not time anyway.
-		global := blas.NewRandom(w.n, cfg.Seed)
+		// Every process keeps its block-cyclic slice of the shared matrix;
+		// this avoids a distribution phase that the benchmark would not
+		// time anyway.
 		w.a = make([]float64, w.mloc*w.nloc)
 		for lc := 0; lc < w.nloc; lc++ {
 			gcol := LocalToGlobal(lc, w.nb, w.gc, w.pc)
@@ -602,10 +611,11 @@ func (w *worker) update(j0, kb int, panel []float64, ldp, liP0 int, u12 []float6
 		1, w.a[liT+lcT*w.mloc:], w.mloc)
 }
 
-// verify gathers the factored matrix to rank 0, solves A x = A*ones with the
-// gathered factors, and returns the LINPACK normalized residual plus the
-// gathered factors. Only rank 0 returns ok = true.
-func (w *worker) verify() (residual float64, gathered []float64, ok bool) {
+// verify gathers the factored matrix to rank 0, solves orig x = orig*ones
+// with the gathered factors, and returns the LINPACK normalized residual
+// plus the gathered factors. orig is the unfactored matrix; it is only
+// read. Only rank 0 returns ok = true.
+func (w *worker) verify(orig []float64) (residual float64, gathered []float64, ok bool) {
 	if w.p.Rank() != 0 {
 		w.p.SendFloats(0, tagGather, w.a)
 		return 0, nil, false
@@ -627,7 +637,6 @@ func (w *worker) verify() (residual float64, gathered []float64, ok bool) {
 		local := w.p.RecvFloats(r, tagGather)
 		place(local, r/w.gc, r%w.gc)
 	}
-	orig := blas.NewRandom(w.n, w.cfg.Seed)
 	x := make([]float64, w.n)
 	for i := range x {
 		x[i] = 1

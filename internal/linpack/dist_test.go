@@ -2,6 +2,7 @@ package linpack
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/blas"
@@ -209,5 +210,36 @@ func TestEfficiencyImprovesWithN(t *testing.T) {
 				n, out.Efficiency, prev)
 		}
 		prev = out.Efficiency
+	}
+}
+
+// TestRealModeMatrixMemoryIndependentOfGrid: real mode generates the
+// global matrix once and the processes copy their slices from it, so the
+// bytes a run allocates do not grow with the process count. Generating
+// the matrix in every process would allocate P full N x N matrices (528
+// at Delta's 16x33 grid).
+func TestRealModeMatrixMemoryIndependentOfGrid(t *testing.T) {
+	const n = 256
+	matrix := uint64(8 * n * n)
+	alloc := func(gr, gc int) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		out, err := Run(Config{N: n, NB: 16, GridRows: gr, GridCols: gc,
+			Model: machine.Delta(), Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.IsNaN(out.Residual) || out.Residual > 10 {
+			t.Fatalf("grid %dx%d: residual %g", gr, gc, out.Residual)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	one, delta := alloc(1, 1), alloc(16, 33)
+	t.Logf("allocated: 1x1 %d B, 16x33 %d B (matrix %d B)", one, delta, matrix)
+	if delta > one+64*matrix {
+		t.Fatalf("16x33 grid allocated %d B, 1x1 %d B: more than 64 extra %d-byte matrices",
+			delta, one, matrix)
 	}
 }

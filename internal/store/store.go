@@ -433,20 +433,13 @@ func (s *Store) Snapshots() ([]Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Append writes a run's records in one write, so a run's records are
-	// contiguous unless writers raced on the file.
 	order := make(map[string]int)
-	contiguous := true
-	for i, r := range recs {
+	for _, r := range recs {
 		if _, seen := order[r.RunID]; !seen {
 			order[r.RunID] = len(order)
-		} else if recs[i-1].RunID != r.RunID {
-			contiguous = false
 		}
 	}
-	if !contiguous {
-		slices.SortStableFunc(recs, func(a, b Record) int { return order[a.RunID] - order[b.RunID] })
-	}
+	slices.SortStableFunc(recs, func(a, b Record) int { return order[a.RunID] - order[b.RunID] })
 	out := make([]Snapshot, 0, len(order))
 	for a := 0; a < len(recs); {
 		b := a + 1
