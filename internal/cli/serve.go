@@ -278,13 +278,16 @@ type runOutcome struct {
 	status string // hit | miss | bypass
 }
 
+// runRequest is the body of POST /api/v1/run.
+type runRequest struct {
+	ID     string            `json:"id"`
+	Quick  bool              `json:"quick"`
+	Seed   int64             `json:"seed"`
+	Values map[string]string `json:"values"`
+}
+
 func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		ID     string            `json:"id"`
-		Quick  bool              `json:"quick"`
-		Seed   int64             `json:"seed"`
-		Values map[string]string `json:"values"`
-	}
+	var req runRequest
 	if err := decodeStrict(w, r, &req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
@@ -345,15 +348,18 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	writeJSONResponse(w, out.res)
 }
 
+// sweepRequest is the body of POST /api/v1/sweep.
+type sweepRequest struct {
+	IDs    []string `json:"ids"`
+	ID     string   `json:"id"`
+	Param  string   `json:"param"`
+	Values []string `json:"values"`
+	Quick  bool     `json:"quick"`
+	Seed   int64    `json:"seed"`
+}
+
 func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		IDs    []string `json:"ids"`
-		ID     string   `json:"id"`
-		Param  string   `json:"param"`
-		Values []string `json:"values"`
-		Quick  bool     `json:"quick"`
-		Seed   int64    `json:"seed"`
-	}
+	var req sweepRequest
 	if err := decodeStrict(w, r, &req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return

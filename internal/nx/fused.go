@@ -51,9 +51,13 @@ package nx
 //     is one buffer per engine rather than one per rendezvous.
 //   - Pooled, wake-through-channel plumbing. Rendezvous and their cells
 //     are recycled per group, so steady-state phantom collectives
-//     allocate nothing; parked settlers are woken through per-process
-//     channels after the engine lock drops, so a completion waking many
-//     members cannot convoy on the lock.
+//     allocate nothing, and a cleanly finished run's whole runtime —
+//     slots and their pools, chain buffers, step lists, Procs and
+//     mailboxes — is kept for the next run of the same size
+//     (runtimes.go), so short runs do not rebuild it either; parked
+//     settlers are woken through per-process channels after the engine
+//     lock drops, so a completion waking many members cannot convoy on
+//     the lock.
 //   - Phantom sequences (sequence.go). Group.PhantomSequence records a
 //     run of phantom steps on one group — BcastPhantom, ReducePhantom,
 //     AllreducePhantom, BcastFlatPhantom and Group.ExchangePhantom, with
@@ -332,6 +336,10 @@ type groupSlot struct {
 	free    []*rendezvous
 	members []int // the member list the slot serves, in group order
 	base    Tag   // Group tag base (see groupTagBase); 0 for exchange pairs
+	// kept counts the rendezvous at the bottom of free that an earlier
+	// run of a reused runtime left and this run has not taken yet (see
+	// groupSlot.reset); the run's own recycled ones stack above them.
+	kept int
 }
 
 // rendezvous is one collective: a cell per member, holding the entries
@@ -474,7 +482,8 @@ func (g *Group) fusedCollective(kind fusedKind, root, nbytes int, pl payload, op
 func fusedRendezvous(p *Proc, s *groupSlot, me int, kind fusedKind, root, nbytes, count int, lazy bool) (deferred bool) {
 	if p.pend == nil {
 		// The chain never outgrows the window, so one allocation serves
-		// the whole run.
+		// the whole run, and every later run of a reused runtime whose
+		// window is no deeper (runtime.start drops a shorter chain).
 		p.pend = make([]pendRef, 0, p.rt.pendLimit)
 	}
 	p.engine.FusedPosts++
@@ -619,6 +628,9 @@ func drainWake(rt *runtime) {
 func (s *groupSlot) takeFree(k int) *rendezvous {
 	var r *rendezvous
 	if n := len(s.free); n > 0 {
+		if n == s.kept {
+			s.kept-- // first use this run of a rendezvous an earlier run kept
+		}
 		r = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
@@ -630,6 +642,18 @@ func (s *groupSlot) takeFree(k int) *rendezvous {
 	}
 	r.cells = r.cells[:k]
 	r.gen++
+	r.clearSide()
+	r.arrived, r.unresolved = 0, 0
+	r.settled.Store(0)
+	r.done.Store(false)
+	r.retired = false
+	r.waiters = r.waiters[:0]
+	return r
+}
+
+// clearSide empties the side struct, if any, so no stale payload, op,
+// span or step list outlives its collective.
+func (r *rendezvous) clearSide() {
 	if sd := r.side; sd != nil {
 		clear(sd.pls)
 		clear(sd.ops)
@@ -639,12 +663,6 @@ func (s *groupSlot) takeFree(k int) *rendezvous {
 		}
 		sd.steps = nil
 	}
-	r.arrived, r.unresolved = 0, 0
-	r.settled.Store(0)
-	r.done.Store(false)
-	r.retired = false
-	r.waiters = r.waiters[:0]
-	return r
 }
 
 // sideFor returns the rendezvous' cold data with its per-member slices,

@@ -15,7 +15,8 @@ import (
 // list and a per-group operation counter, so collectives on disjoint or
 // row/column-overlapping groups do not interfere. Two *different* groups
 // with the same member list used concurrently from the same process would
-// collide; construct one group per concurrent use instead.
+// collide; construct one group per concurrent use instead. Like its Proc,
+// a Group is valid only until its Run returns.
 type Group struct {
 	p       *Proc
 	members []int // the interned member list, shared run-wide; read-only

@@ -147,9 +147,15 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("nx: process %d panicked: %v", e.Rank, e.Value)
 }
 
-// Run executes body on every process of a fresh runtime and returns the
+// Run executes body on every process of a runtime and returns the
 // aggregated result. It blocks until all processes finish, one of them
 // panics, the deadlock watchdog trips, or cfg.Ctx is cancelled.
+//
+// The runtime comes reset from a small free list of earlier runs of the
+// same process count, or is built fresh; a cleanly finished run returns
+// it there (see runtimes.go). Results are bit-identical either way. The
+// Proc and Group handles body receives are therefore invalid once Run
+// returns: a later run may own them.
 func Run(cfg Config, body func(p *Proc)) (*Result, error) {
 	if err := cfg.Model.Validate(); err != nil {
 		return nil, err
@@ -184,26 +190,8 @@ func Run(cfg Config, body func(p *Proc)) (*Result, error) {
 	if pendLimit <= 0 {
 		pendLimit = adaptivePendLimit(n)
 	}
-	rt := &runtime{
-		procs:     make([]*Proc, n),
-		traceOn:   cfg.Trace != nil,
-		pendLimit: pendLimit,
-	}
-	// The Proc structs (mailboxes included) are one contiguous allocation.
-	backing := make([]Proc, n)
-	for i := range backing {
-		p := &backing[i]
-		p.rank, p.size, p.model = i, n, cfg.Model
-		p.rt = rt
-		p.fused = mode == CollectivesFused
-		p.wakeCh = make(chan struct{}, 1)
-		p.initCaches()
-		p.mbox.init()
-		if cfg.Trace != nil {
-			p.tview = cfg.Trace.Proc(i)
-		}
-		rt.procs[i] = p
-	}
+	rt, reused := takeRuntime(n)
+	rt.start(cfg, mode == CollectivesFused, pendLimit)
 
 	var wg sync.WaitGroup
 	errCh := make(chan error, n)
@@ -280,10 +268,7 @@ func Run(cfg Config, body func(p *Proc)) (*Result, error) {
 	}
 
 	wg.Wait()
-	rt.addEngineStats()
-	for _, p := range rt.procs {
-		p.releaseStepBuf()
-	}
+	rt.addEngineStats(reused)
 	close(stop)
 	watchWg.Wait()
 	close(errCh)
@@ -312,10 +297,16 @@ func Run(cfg Config, body func(p *Proc)) (*Result, error) {
 		res.TotalMsgs += p.stats.MsgsSent
 	}
 	res.Makespan = vtime.Makespan(times)
+	// Only a clean run's runtime is kept: every other outcome returned
+	// above, and its runtime is dropped with whatever state it tore down
+	// in.
+	keepRuntime(rt)
 	return res, nil
 }
 
-// runtime is the shared state of one Run invocation.
+// runtime is the shared state of a Run invocation. A cleanly finished
+// run's runtime is reset and kept for a later run of the same size (see
+// runtimes.go).
 type runtime struct {
 	procs   []*Proc
 	traceOn bool // cfg.Trace was set; fused releases carry trace spans

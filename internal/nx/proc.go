@@ -10,7 +10,8 @@ import (
 )
 
 // Proc is one simulated process. All methods must be called from the
-// goroutine Run started for it.
+// goroutine Run started for it, and only until Run returns: the runtime
+// behind the handle may then serve another run.
 type Proc struct {
 	rank  int
 	size  int

@@ -3,7 +3,6 @@ package nx
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Phantom sequences.
@@ -157,28 +156,7 @@ func (p *Proc) recordStep(s *groupSlot, st seqStep) {
 	}
 	p.seqHash = hashStep(p.seqHash, st)
 	if p.seq.me == 0 {
-		if p.stepBuf == nil {
-			if b, ok := stepBufPool.Get().(*[]seqStep); ok {
-				p.stepBuf = *b
-			}
-		}
 		p.stepBuf = append(p.stepBuf, st)
-	}
-}
-
-// stepBufPool keeps step lists between runs. Group member 0 grows its
-// list with the run of sequences it records between settles; pooling the
-// list keeps short runs, such as sweep points, from paying that growth
-// every time. Only processes that recorded steps take or return one.
-var stepBufPool sync.Pool
-
-// releaseStepBuf returns the process's step list to the pool once every
-// process of the run has returned (no rendezvous reads it any more).
-func (p *Proc) releaseStepBuf() {
-	if p.stepBuf != nil {
-		b := p.stepBuf[:0]
-		p.stepBuf = nil
-		stepBufPool.Put(&b)
 	}
 }
 

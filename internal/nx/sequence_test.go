@@ -114,6 +114,61 @@ func assertSameBits(t *testing.T, want, got *Result, label string) {
 	}
 }
 
+// seqBody returns a body that runs a random sequence program: each block
+// on the members' group, as one phantom sequence when wrap is set, with
+// non-members idling. It records every process's mid-program samples and
+// final clock in exits[rank].
+func seqBody(blocks []seqBlock, members []int, wrap bool, exits [][]float64) func(p *Proc) {
+	return func(p *Proc) {
+		var g *Group
+		for _, m := range members {
+			if m == p.Rank() {
+				g = p.Group(members)
+			}
+		}
+		w := p.World()
+		r := p.Rank()
+		for _, bl := range blocks {
+			p.Compute(machine.OpVector, bl.pre[r])
+			steps := func() {
+				for _, o := range bl.ops {
+					switch o.kind {
+					case 0:
+						g.BcastPhantom(o.root, o.nbytes)
+					case 1:
+						g.ReducePhantom(o.root, o.nbytes)
+					case 2:
+						g.AllreducePhantom(o.root, o.nbytes)
+					case 3:
+						g.BcastFlatPhantom(o.root, o.nbytes)
+					case 4:
+						g.ExchangePhantom(Tag(7), o.a, o.b, o.nbytes, o.count)
+					case 5:
+						p.Compute(machine.OpPanel, o.durs[r])
+					case 6:
+						p.Elapse(o.durs[r])
+					}
+				}
+			}
+			switch {
+			case g == nil:
+				p.Elapse(1e-5)
+			case wrap:
+				g.PhantomSequence(steps)
+			default:
+				steps()
+			}
+			if bl.plain {
+				w.AllreducePhantom(0, 16)
+			}
+			if bl.sample {
+				exits[r] = append(exits[r], p.Now())
+			}
+		}
+		exits[r] = append(exits[r], p.Now())
+	}
+}
+
 // TestSequenceDifferentialRandomPrograms runs random phantom programs
 // three ways — each block as a phantom sequence on the fused engine, the
 // same blocks unwrapped on the fused engine, and on the tree engine —
@@ -132,54 +187,7 @@ func TestSequenceDifferentialRandomPrograms(t *testing.T) {
 
 			run := func(mode CollectiveMode, window int, wrap bool) (*Result, [][]float64) {
 				exits := make([][]float64, procs)
-				body := func(p *Proc) {
-					var g *Group
-					for _, m := range members {
-						if m == p.Rank() {
-							g = p.Group(members)
-						}
-					}
-					w := p.World()
-					r := p.Rank()
-					for _, bl := range blocks {
-						p.Compute(machine.OpVector, bl.pre[r])
-						steps := func() {
-							for _, o := range bl.ops {
-								switch o.kind {
-								case 0:
-									g.BcastPhantom(o.root, o.nbytes)
-								case 1:
-									g.ReducePhantom(o.root, o.nbytes)
-								case 2:
-									g.AllreducePhantom(o.root, o.nbytes)
-								case 3:
-									g.BcastFlatPhantom(o.root, o.nbytes)
-								case 4:
-									g.ExchangePhantom(Tag(7), o.a, o.b, o.nbytes, o.count)
-								case 5:
-									p.Compute(machine.OpPanel, o.durs[r])
-								case 6:
-									p.Elapse(o.durs[r])
-								}
-							}
-						}
-						switch {
-						case g == nil:
-							p.Elapse(1e-5)
-						case wrap:
-							g.PhantomSequence(steps)
-						default:
-							steps()
-						}
-						if bl.plain {
-							w.AllreducePhantom(0, 16)
-						}
-						if bl.sample {
-							exits[r] = append(exits[r], p.Now())
-						}
-					}
-					exits[r] = append(exits[r], p.Now())
-				}
+				body := seqBody(blocks, members, wrap, exits)
 				return runWindow(t, model, procs, mode, window, body), exits
 			}
 			check := func(label string, want, got *Result, wantExits, gotExits [][]float64) {
@@ -319,9 +327,10 @@ func TestSequenceExchangeValidation(t *testing.T) {
 	}
 }
 
-// TestSequenceStepPoolConcurrentRuns: runs share the pool of step lists,
-// so concurrent runs of sequence programs, each taking and returning
-// lists, must each still match a lone run bit for bit.
+// TestSequenceStepPoolConcurrentRuns: runs share the free list of kept
+// runtimes, step lists included, so concurrent runs of sequence programs
+// at different windows, each taking and returning runtimes, must each
+// still match a lone run bit for bit.
 func TestSequenceStepPoolConcurrentRuns(t *testing.T) {
 	model := diffModel(2, 4)
 	body := func(p *Proc) {
