@@ -9,6 +9,7 @@ import (
 	goruntime "runtime"
 	"runtime/debug"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -415,15 +416,24 @@ func TestFusedReuseIdleBounded(t *testing.T) {
 	}
 
 	// Rounds of inFlight concurrent runs of every size, on both sides of
-	// the size cut-off: more runtimes than the free list holds.
+	// the size cut-off: more runtimes than the free list holds. Each
+	// run's rank 0 waits until every run of its round is inside Run, so
+	// the runs hold inFlight runtimes at once however the host
+	// schedules them.
 	dropIdleRuntimes()
 	const inFlight = 5
 	for round := 0; round < 2; round++ {
 		for n := 1; n <= maxKeptProcs+2; n++ {
 			done := make(chan error)
+			var inside sync.WaitGroup
+			inside.Add(inFlight)
 			for k := 0; k < inFlight; k++ {
 				go func() {
 					_, err := Run(Config{Model: diffModel(1, n), Collectives: CollectivesFused}, func(p *Proc) {
+						if p.Rank() == 0 {
+							inside.Done()
+							inside.Wait()
+						}
 						w := p.World()
 						for i := 0; i < 10; i++ {
 							p.Compute(machine.OpVector, float64(100+i))
