@@ -110,65 +110,51 @@ func RunDistributed(cfg Config) (*Outcome, error) {
 
 	var final []float64
 	times := make([]float64, p)
-	res, err := nx.Run(nx.Config{Model: cfg.Model, Procs: p, Ctx: cfg.Ctx}, func(proc *nx.Proc) {
-		rank := proc.Rank()
-		rowStart, myRows := rowsFor(cfg.NY, p, rank)
-		w := cfg.NX + 2
-		rowBytes := 8 * w
+	body := func(proc *nx.Proc) { times[proc.Rank()] = phantom1D(proc, &cfg, p) }
+	if !cfg.Phantom {
+		body = func(proc *nx.Proc) {
+			rank := proc.Rank()
+			rowStart, myRows := rowsFor(cfg.NY, p, rank)
+			w := cfg.NX + 2
 
-		var cur, next []float64
-		if !cfg.Phantom {
-			cur = make([]float64, (myRows+2)*w)
-			next = make([]float64, (myRows+2)*w)
+			up, down := rank-1, rank+1
+			flops := 4 * float64(myRows) * float64(cfg.NX)
+			cur := make([]float64, (myRows+2)*w)
+			next := make([]float64, (myRows+2)*w)
 			if rowStart == 0 { // global top boundary lives in my halo row
 				for x := 0; x < w; x++ {
 					cur[x] = Hot
 					next[x] = Hot
 				}
 			}
-		}
 
-		up, down := rank-1, rank+1
-		// The halo receives, in the order consecutive Recv calls would
-		// take them, and the cell of cur where each row lands. In phantom
-		// mode got stays nil and nothing is landed.
-		var specs []nx.RecvSpec
-		var lands []int
-		if down < p {
-			specs = append(specs, nx.RecvSpec{Src: down, Tag: tagUp})
-			lands = append(lands, (myRows+1)*w)
-		}
-		if up >= 0 {
-			specs = append(specs, nx.RecvSpec{Src: up, Tag: tagDown})
-			lands = append(lands, 0)
-		}
-		var got []nx.Msg
-		if !cfg.Phantom {
-			got = make([]nx.Msg, len(specs))
-		}
-		for it := 0; it < cfg.Iters; it++ {
-			// halo exchange: first interior row up, last interior row down
+			// The halo receives, in the order consecutive Recv calls would
+			// take them, and the cell of cur where each row lands.
+			var specs []nx.RecvSpec
+			var lands []int
+			if down < p {
+				specs = append(specs, nx.RecvSpec{Src: down, Tag: tagUp})
+				lands = append(lands, (myRows+1)*w)
+			}
 			if up >= 0 {
-				if cfg.Phantom {
-					proc.SendPhantom(up, tagUp, rowBytes)
-				} else {
+				specs = append(specs, nx.RecvSpec{Src: up, Tag: tagDown})
+				lands = append(lands, 0)
+			}
+			got := make([]nx.Msg, len(specs))
+			for it := 0; it < cfg.Iters; it++ {
+				// halo exchange: first interior row up, last interior row down
+				if up >= 0 {
 					proc.SendFloats(up, tagUp, cur[w:2*w])
 				}
-			}
-			if down < p {
-				if cfg.Phantom {
-					proc.SendPhantom(down, tagDown, rowBytes)
-				} else {
+				if down < p {
 					proc.SendFloats(down, tagDown, cur[myRows*w:(myRows+1)*w])
 				}
-			}
-			proc.RecvAll(specs, got)
-			for i, m := range got {
-				copy(cur[lands[i]:lands[i]+w], m.Floats)
-			}
-			// sweep: 4 flops per interior cell
-			proc.Compute(machine.OpVector, 4*float64(myRows)*float64(cfg.NX))
-			if !cfg.Phantom {
+				proc.RecvAll(specs, got)
+				for i, m := range got {
+					copy(cur[lands[i]:lands[i]+w], m.Floats)
+				}
+				// sweep: 4 flops per interior cell
+				proc.Compute(machine.OpVector, flops)
 				for y := 1; y <= myRows; y++ {
 					for x := 1; x <= cfg.NX; x++ {
 						next[y*w+x] = 0.25 * (cur[(y-1)*w+x] + cur[(y+1)*w+x] +
@@ -183,29 +169,27 @@ func RunDistributed(cfg Config) (*Outcome, error) {
 					}
 				}
 			}
-		}
-		times[rank] = proc.Now()
+			times[rank] = proc.Now()
 
-		if cfg.Phantom {
-			return
+			// gather interior rows to rank 0
+			mine := make([]float64, myRows*cfg.NX)
+			for y := 0; y < myRows; y++ {
+				copy(mine[y*cfg.NX:(y+1)*cfg.NX], cur[(y+1)*w+1:(y+1)*w+1+cfg.NX])
+			}
+			if rank != 0 {
+				proc.SendFloats(0, tagGather, mine)
+				return
+			}
+			final = make([]float64, cfg.NX*cfg.NY)
+			copy(final, mine)
+			for r := 1; r < p; r++ {
+				rs, rc := rowsFor(cfg.NY, p, r)
+				part := proc.RecvFloats(r, tagGather)
+				copy(final[rs*cfg.NX:(rs+rc)*cfg.NX], part)
+			}
 		}
-		// gather interior rows to rank 0
-		mine := make([]float64, myRows*cfg.NX)
-		for y := 0; y < myRows; y++ {
-			copy(mine[y*cfg.NX:(y+1)*cfg.NX], cur[(y+1)*w+1:(y+1)*w+1+cfg.NX])
-		}
-		if rank != 0 {
-			proc.SendFloats(0, tagGather, mine)
-			return
-		}
-		final = make([]float64, cfg.NX*cfg.NY)
-		copy(final, mine)
-		for r := 1; r < p; r++ {
-			rs, rc := rowsFor(cfg.NY, p, r)
-			part := proc.RecvFloats(r, tagGather)
-			copy(final[rs*cfg.NX:(rs+rc)*cfg.NX], part)
-		}
-	})
+	}
+	res, err := nx.Run(nx.Config{Model: cfg.Model, Procs: p, Ctx: cfg.Ctx}, body)
 	if err != nil {
 		return nil, err
 	}
@@ -216,6 +200,68 @@ func RunDistributed(cfg Config) (*Outcome, error) {
 		}
 	}
 	return out, nil
+}
+
+// haloChunk is how many phantom iterations run as one phantom sequence:
+// one world rendezvous per chunk, where the mailbox loop paid a message
+// per halo and a possible host park per iteration. runPhantom settles
+// each chunk (Now) before it opens the next, so a process never has more
+// than one sequence in flight and the world group's ring holds two
+// rendezvous of 528 cells; chaining 16-iteration chunks up to the
+// engine's width bound (nx pendCellLimit) instead allocated 3.1 MB per
+// 200-iteration 16×33 run against 0.95 MB. Measured on the 16×33
+// halo-528 run (n=1056, 4000 iterations, 2-vCPU Xeon, GOMAXPROCS 2, four
+// interleaved runs each): 16 took 0.33–0.37 s, 32 0.26–0.29 s, 64
+// 0.24–0.28 s, 128 0.19–0.26 s and 256 0.18–0.23 s, against 0.8–1.0 s
+// for the mailbox loop. Past 128 the replay itself dominates. A longer
+// chunk costs only group member 0's step list: each process charges the
+// same Compute before every halo step, which the engine records as one
+// repeated mark, so the delta stream does not grow with the chunk.
+const haloChunk = 128
+
+// runPhantom runs iters phantom iterations on the world group: one halo
+// exchange of the pattern, then the sweep's flops, in sequences of
+// haloChunk iterations. Virtual times are bit-identical to issuing the
+// sends, the RecvAll and the Compute one by one.
+func runPhantom(proc *nx.Proc, sends []nx.HaloSend, recvs []nx.HaloRecv, iters int, flops float64) {
+	w := proc.World()
+	h := w.Halo(sends, recvs)
+	for it := 0; it < iters; it += haloChunk {
+		n := min(haloChunk, iters-it)
+		w.PhantomSequence(func() {
+			for i := 0; i < n; i++ {
+				h.Exchange()
+				proc.Compute(machine.OpVector, flops)
+			}
+		})
+		proc.Now()
+	}
+}
+
+// phantom1D runs one process of a phantom RunDistributed on p processes
+// and returns its final clock; see phantom2D for why it stands apart from
+// the real-mode body.
+func phantom1D(proc *nx.Proc, cfg *Config, p int) float64 {
+	rank := proc.Rank()
+	_, myRows := rowsFor(cfg.NY, p, rank)
+	rowBytes := 8 * (cfg.NX + 2)
+	up, down := rank-1, rank+1
+	// First interior row up, last one down; the receives in the order the
+	// real-mode loop takes them.
+	sends := make([]nx.HaloSend, 0, 2)
+	recvs := make([]nx.HaloRecv, 0, 2)
+	if up >= 0 {
+		sends = append(sends, nx.HaloSend{To: up, Tag: tagUp, Bytes: rowBytes})
+	}
+	if down < p {
+		sends = append(sends, nx.HaloSend{To: down, Tag: tagDown, Bytes: rowBytes})
+		recvs = append(recvs, nx.HaloRecv{From: down, Tag: tagUp})
+	}
+	if up >= 0 {
+		recvs = append(recvs, nx.HaloRecv{From: up, Tag: tagDown})
+	}
+	runPhantom(proc, sends, recvs, cfg.Iters, 4*float64(myRows)*float64(cfg.NX))
+	return proc.Now()
 }
 
 // ScalingPoint is one row of a strong-scaling experiment.

@@ -1,6 +1,7 @@
 package stencil
 
 import (
+	"math"
 	"testing"
 )
 
@@ -87,7 +88,7 @@ func Test2DPhantomMatchesRealTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if real.Time != ph.Time {
+	if math.Float64bits(real.Time) != math.Float64bits(ph.Time) {
 		t.Fatalf("virtual times differ: real %g phantom %g", real.Time, ph.Time)
 	}
 }

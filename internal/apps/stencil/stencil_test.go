@@ -136,7 +136,7 @@ func TestPhantomTimeMatchesRealTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(real.Time-ph.Time) > 1e-12*real.Time {
+	if math.Float64bits(real.Time) != math.Float64bits(ph.Time) {
 		t.Fatalf("phantom %g vs real %g virtual time", ph.Time, real.Time)
 	}
 	if ph.Grid != nil {

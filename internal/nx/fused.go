@@ -22,7 +22,7 @@ package nx
 // gates the equivalence with a differential test (fused_test.go) and a
 // full-report byte-identity cmp step.
 //
-// Five further mechanisms make the engine fast rather than merely
+// Six further mechanisms make the engine fast rather than merely
 // message-free:
 //
 //   - Deferred settlement. A phantom collective returns no data, so a
@@ -30,9 +30,11 @@ package nx
 //     (previous release ⊕ recorded local advances) and keeps running —
 //     through more phantom collectives if the program offers them. A
 //     member parks only when it needs a concrete clock (a point-to-point
-//     message, Now, a data-carrying collective, Barrier) or after
+//     message, Now, a data-carrying collective, Barrier), after
 //     pendLimit outstanding releases (adaptive in the process count; see
-//     adaptivePendLimit). Rendezvous resolve in dependency order
+//     adaptivePendLimit), or once its outstanding posts span more than
+//     pendCellLimit member cells, so wide groups keep short chains.
+//     Rendezvous resolve in dependency order
 //     through the completion cascade (fusedCascade), so host-side parks
 //     collapse from one per collective edge to roughly one per chain.
 //   - Batched posting. A deferred post does not take the engine lock: it
@@ -70,6 +72,15 @@ package nx
 //     body, so the tree engine stays the oracle. A sequence is distinct
 //     from batched posting above: batching files many posts under one
 //     lock hold, a sequence makes many steps one post.
+//   - Halo exchanges (halo.go). Group.Halo registers each member's
+//     phantom sends and receives once, and each Halo.Exchange is a
+//     deferred post, or a sequence step, replayed with the same edge
+//     formulas over a receive→send matching built at registration: a
+//     neighbour exchange that the mailbox path pays for per message and
+//     per host park becomes arithmetic inside one rendezvous. Halo
+//     exchanges are the only fused operation that stands for
+//     point-to-point traffic; like sequences, they take the mailbox path
+//     on the tree engine, on traced runs and for one-member groups.
 //
 // One semantic difference from the tree path: a fused collective is a
 // full-group rendezvous in host time — no member's release exists until
@@ -175,6 +186,21 @@ func adaptivePendLimit(n int) int {
 	return l
 }
 
+// pendCellLimit bounds a deferred chain by width as well as by post
+// count: a member settles once its pending posts span more than this many
+// member cells (the sum of their groups' sizes). The post-count window
+// alone lets a chain of world-group posts at Delta scale hold 32 posts of
+// 528 cells, and a slot's ring about twice that many rendezvous: a run of
+// 200 world BcastPhantoms at 528 processes allocated 5.0 MB, 64 pooled
+// rendezvous. The limit must stay at or above 32 × 33 = 1 056, the
+// widest chain E4 files (32 posts on 33-member row groups), so that E4's
+// settles, parks and rendezvous do not change. Measured on that
+// broadcast run (2-vCPU Xeon): 1 100 (3 posts a chain) allocated 1.1 MB
+// but took 230 µs per broadcast against the unbounded 115 µs, 4 400
+// (9 posts) 1.9 MB and 150 µs, and 8 800 (17 posts) 2.9 MB and
+// 117–127 µs: the shallowest chain that keeps the window's speed.
+const pendCellLimit = 8800
+
 // fusedKind identifies which collective algorithm a rendezvous replays.
 type fusedKind int8
 
@@ -198,6 +224,9 @@ const (
 	// fusedSequence replays a phantom sequence's recorded steps in one
 	// rendezvous; see Group.PhantomSequence.
 	fusedSequence
+	// fusedHalo replays one exchange of a registered halo pattern (its
+	// index on the slot in root); see Group.Halo.
+	fusedHalo
 )
 
 func (k fusedKind) String() string {
@@ -222,6 +251,8 @@ func (k fusedKind) String() string {
 		return "ExchangeBatch"
 	case fusedSequence:
 		return "PhantomSequence"
+	case fusedHalo:
+		return "Halo"
 	}
 	return fmt.Sprintf("fusedKind(%d)", int(k))
 }
@@ -340,6 +371,11 @@ type groupSlot struct {
 	// run of a reused runtime left and this run has not taken yet (see
 	// groupSlot.reset); the run's own recycled ones stack above them.
 	kept int
+	// halos are the halo patterns registered on the member list, in
+	// registration order, and haloJoins each member's registrations so
+	// far: a member's n-th Group.Halo call joins halos[n] (see halo.go).
+	halos     []*haloPattern
+	haloJoins []int32
 }
 
 // rendezvous is one collective: a cell per member, holding the entries
@@ -371,7 +407,15 @@ type replayScratch struct {
 	arr  []float64   // per-member arrival times
 	flt  [][]float64 // per-member float-slice scratch (reduce accumulators)
 	sent [][]float64 // reduce: the acc snapshot each member sent
-	cur  []int       // sequence: each member's position in its deltas
+	cur  []seqCursor // sequence: each member's position in its deltas
+}
+
+// seqCursor is a member's position in its delta stream during a sequence
+// replay: the next entry, and the marks of a repeat entry still to apply.
+type seqCursor struct {
+	j    int
+	rep  uint32
+	mark float64
 }
 
 // pendRef is one collective on a member's deferred chain. From its post
@@ -480,11 +524,9 @@ func (g *Group) fusedCollective(kind fusedKind, root, nbytes int, pl payload, op
 // the phantom collectives and exchanges; Barrier and every data-carrying
 // operation settle before returning.
 func fusedRendezvous(p *Proc, s *groupSlot, me int, kind fusedKind, root, nbytes, count int, lazy bool) (deferred bool) {
-	if p.pend == nil {
-		// The chain never outgrows the window, so one allocation serves
-		// the whole run, and every later run of a reused runtime whose
-		// window is no deeper (runtime.start drops a shorter chain).
-		p.pend = make([]pendRef, 0, p.rt.pendLimit)
+	k := len(s.members)
+	if len(p.pend) == cap(p.pend) {
+		p.growPend(k)
 	}
 	p.engine.FusedPosts++
 	// Build the post in place: a queued post is filed before r is read,
@@ -502,9 +544,33 @@ func fusedRendezvous(p *Proc, s *groupSlot, me int, kind fusedKind, root, nbytes
 		pr.deltas = p.deltaBuf[p.deltaLo:len(p.deltaBuf):len(p.deltaBuf)]
 	}
 	p.deltaLo = len(p.deltaBuf)
+	p.pendCells += k
 	// Tracing needs a concrete clock at every Compute/Elapse, so deferral
 	// is disabled for traced runs; they settle each operation eagerly.
-	return lazy && !p.rt.traceOn && len(p.pend) < p.rt.pendLimit
+	return lazy && !p.rt.traceOn && len(p.pend) < p.rt.pendLimit && p.pendCells <= pendCellLimit
+}
+
+// growPend makes room on the chain for one more post, on k members. A
+// chain buffer starts with one entry, since many chains never get
+// longer: every data collective settles its own post, and so does a
+// program that reads Now after each phantom sequence, as the stencil
+// does (a window-sized buffer for each of its 528 processes would
+// allocate 1 MB). When a second post arrives the buffer grows to what
+// the chain can still reach: the window, or fewer when the width bound
+// ends a chain of k-member posts sooner (pendCellLimit/k+1 posts, 17 for
+// a 528-member world group). A chain that outgrows that, because
+// narrower posts follow, grows straight to the window. The buffer is
+// kept for the rest of the run, and for later runs of a reused runtime.
+func (p *Proc) growPend(k int) {
+	n := 1
+	if len(p.pend) > 0 {
+		if n = min(p.rt.pendLimit, pendCellLimit/k+1); n <= len(p.pend) {
+			n = p.rt.pendLimit
+		}
+	}
+	pend := make([]pendRef, len(p.pend), n)
+	copy(pend, p.pend)
+	p.pend = pend
 }
 
 // fileQueued files the queued posts p.pend[p.filed:], in order. Each
@@ -607,18 +673,36 @@ func (p *Proc) flush(pl payload, op ReduceOp, wait bool) (registered bool) {
 
 // drainWake unlocks the engine after moving its pending wake list aside,
 // then signals the wakeups outside the lock, so a completion waking many
-// members cannot convoy on the engine lock.
+// members cannot convoy on the engine lock. The list is reused: the
+// drainer installs the spare list in its place and, once it has
+// signalled, offers the drained one back as the next spare. Only drains
+// that overlap in their signalling build a list, so steady-state
+// completions allocate nothing.
 func drainWake(rt *runtime) {
-	toWake := rt.wake
-	rt.wake = nil
+	wl := rt.wake
+	if wl == nil || len(wl.procs) == 0 {
+		rt.mu.Unlock()
+		return
+	}
+	next := rt.spareWake.Swap(nil)
+	if next == nil {
+		next = new(wakeList)
+	}
+	rt.wake = next
 	rt.mu.Unlock()
-	for _, wp := range toWake {
+	for _, wp := range wl.procs {
 		select {
 		case wp.wakeCh <- struct{}{}:
 		default:
 		}
 	}
+	clear(wl.procs)
+	wl.procs = wl.procs[:0]
+	rt.spareWake.CompareAndSwap(nil, wl)
 }
+
+// wakeList is a list of parked settlers to signal (see drainWake).
+type wakeList struct{ procs []*Proc }
 
 // takeFree returns a recycled (or fresh) rendezvous sized for k members.
 // Cells are left dirty — every member overwrites its own before the
@@ -693,8 +777,8 @@ func (r *rendezvous) stepSide() *fusedSide {
 // in the (completed) previous rendezvous: the exact advance sequence the
 // member recorded, replayed on the release clock. Recorded advances are
 // all positive (see Proc.Compute); a phantom sequence's entry ends at its
-// first stepMark, and the replay applies the rest. Caller holds the
-// engine lock.
+// open mark, and the replay applies the rest. Caller holds the engine
+// lock.
 func resolveCell(base, c *fusedCell) {
 	cl := base.clock
 	for _, d := range c.deltas {
@@ -738,7 +822,10 @@ func fusedCascade(p *Proc, r *rendezvous) {
 		}
 		r.done.Store(true)
 		if len(r.waiters) > 0 {
-			rt.wake = append(rt.wake, r.waiters...)
+			if rt.wake == nil {
+				rt.wake = new(wakeList)
+			}
+			rt.wake.procs = append(rt.wake.procs, r.waiters...)
 			r.waiters = r.waiters[:0]
 		}
 	}
@@ -825,11 +912,21 @@ func (p *Proc) settleWith(pl payload, op ReduceOp) payload {
 		}
 		r.retired = true
 		s := r.slot
-		for len(s.ring) > 0 && s.ring[0].retired {
-			head := s.ring[0]
-			s.ring = s.ring[1:]
-			s.baseSeq++
-			s.free = append(s.free, head)
+		n := 0
+		for n < len(s.ring) && s.ring[n].retired {
+			s.free = append(s.free, s.ring[n])
+			n++
+		}
+		if n > 0 {
+			// Shift the live rendezvous down rather than reslicing past
+			// the retired ones: the ring keeps its backing array, so
+			// steady-state filing never grows a new one, and the vacated
+			// slots are cleared, so none pins a rendezvous after the pool
+			// drops it (groupSlot.reset).
+			m := copy(s.ring, s.ring[n:])
+			clear(s.ring[m:])
+			s.ring = s.ring[:m]
+			s.baseSeq += n
 		}
 	}
 	if locked {
@@ -853,6 +950,7 @@ func (p *Proc) settleWith(pl payload, op ReduceOp) payload {
 	}
 	p.pend = p.pend[:0]
 	p.filed = 0
+	p.pendCells = 0
 	p.deltaBuf = p.deltaBuf[:0]
 	p.deltaLo = 0
 	p.stepBuf = p.stepBuf[:0]
@@ -916,6 +1014,8 @@ func fusedCompute(p *Proc, r *rendezvous) {
 		f.exchange(0, 1, a.nbytes, int(a.count))
 	case fusedSequence:
 		f.sequence(r.side.steps)
+	case fusedHalo:
+		f.halo(r.slot.halos[root])
 	default:
 		panic(fmt.Sprintf("nx: unknown fused collective kind %v", kind))
 	}
@@ -932,8 +1032,12 @@ func advance(c *float64, d float64) {
 // hops is Proc.hops between two members' global ranks: the Manhattan
 // distance of dimension-order routing on the model mesh.
 func (f *fusedSim) hops(i, j int) int {
-	cols := f.p.meshCols
-	a, b := f.members[i], f.members[j]
+	return meshHops(f.members[i], f.members[j], f.p.meshCols)
+}
+
+// meshHops is the Manhattan distance between ranks a and b on a mesh of
+// cols columns.
+func meshHops(a, b, cols int) int {
 	return iabs(a/cols-b/cols) + iabs(a%cols-b%cols)
 }
 
@@ -941,11 +1045,17 @@ func (f *fusedSim) hops(i, j int) int {
 // the message's virtual arrival time at j. Formula and evaluation order
 // are sendRaw's exactly.
 func (f *fusedSim) send(i, j, nbytes int) float64 {
+	return f.sendHops(i, f.hops(i, j), nbytes)
+}
+
+// sendHops is send for an edge of the given hop count, for replays that
+// know it in advance.
+func (f *fusedSim) sendHops(i, hops, nbytes int) float64 {
 	net := &f.p.model.Net
 	c := &f.r.cells[i]
 	start := c.clock
 	advance(&c.clock, net.SendOverhead+float64(nbytes)*net.ByteTime)
-	arrive := c.clock + net.Latency + float64(f.hops(i, j))*net.PerHop
+	arrive := c.clock + net.Latency + float64(hops)*net.PerHop
 	c.bytes += int64(nbytes)
 	c.msgs++
 	if f.p.rt.traceOn {
@@ -973,9 +1083,14 @@ func (f *fusedSim) recv(j int, arrive float64) {
 	}
 }
 
-// scratchArr returns the engine's n-element arrival scratch.
+// scratchArr returns the engine's arrival scratch, one element per
+// member.
 func (f *fusedSim) scratchArr() []float64 {
-	n := len(f.r.cells)
+	return f.scratch(len(f.r.cells))
+}
+
+// scratch returns the engine's arrival scratch with n elements.
+func (f *fusedSim) scratch(n int) []float64 {
 	sc := &f.p.rt.scratch
 	if cap(sc.arr) < n {
 		sc.arr = make([]float64, n)

@@ -24,7 +24,9 @@
 // order and virtual-time arithmetic as consecutive Recv calls, but parks
 // the host goroutine at most once, until every spec has a queued match.
 // Wildcards are refused there, since their match depends on host
-// arrival order.
+// arrival order. A phantom halo exchange can go further: Group.Halo
+// registers it once, and on the fused engine each exchange replays
+// inside one rendezvous without a mailbox message (halo.go).
 package nx
 
 import (
@@ -320,7 +322,8 @@ type runtime struct {
 	slots        map[string]*groupSlot
 	cascade      []*rendezvous
 	scratch      replayScratch
-	wake         []*Proc
+	wake         *wakeList
+	spareWake    atomic.Pointer[wakeList] // see drainWake
 	slotsAborted atomic.Bool
 	pendLimit    int
 	// The World group's interned slot, built by the first World call.

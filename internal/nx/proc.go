@@ -37,16 +37,21 @@ type Proc struct {
 	filed    int
 	deltaBuf []float64
 	deltaLo  int
+	// pendCells is the width of the chain: the member cells its posts
+	// span (see pendCellLimit).
+	pendCells int
 	// Phantom-sequence state (see PhantomSequence): seq is the group
 	// whose sequence is open (nil outside one), seqSteps its first step
-	// in stepBuf, seqMarkEnd the deltaBuf index past its last mark and
-	// seqHash the running hash of its steps. stepBuf holds the steps of
-	// the chain's sequence posts on groups where this process is member
-	// 0; like deltaBuf it is read by other goroutines once filed and
-	// reset only by settle.
+	// in stepBuf, seqMarkEnd the deltaBuf index past its last mark,
+	// seqRep that mark while a repeat may extend it (0 otherwise; see
+	// markStep) and seqHash the running hash of its steps. stepBuf holds
+	// the steps of the chain's sequence posts on groups where this
+	// process is member 0; like deltaBuf it is read by other goroutines
+	// once filed and reset only by settle.
 	seq        *Group
 	seqSteps   int
 	seqMarkEnd int
+	seqRep     float64
 	seqHash    uint64
 	stepBuf    []seqStep
 	// wakeCh is this process's private settle wakeup (capacity 1): fused
@@ -455,12 +460,4 @@ func (r *Request) Wait() Msg {
 	}
 	r.done = true
 	return r.p.recvRaw(r.src, r.tag).msg()
-}
-
-// PingPong measures the modelled one-way time for an n-byte message between
-// this process and peer; it is used to fit Hockney parameters in tests and
-// benches. Both sides must call it with the same arguments; rank a sends
-// first. The returned value is the modelled point-to-point time.
-func (p *Proc) PingPong(peer int, tag Tag, n int) float64 {
-	return p.model.PointToPointTime(p.rank, peer, n)
 }

@@ -10,6 +10,7 @@ import (
 	"runtime/debug"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -480,4 +481,67 @@ func TestFusedReuseIdleBounded(t *testing.T) {
 	if st := ReadEngineStats().Sub(before); st.RuntimesBuilt != 1 {
 		t.Fatalf("the run after a collection did not build its runtime: %v", st)
 	}
+}
+
+// TestFusedReuseKeepsNoRetiredRendezvous: a kept runtime holds only the
+// rendezvous its slot pools keep. Rank 0 files 60 broadcasts before
+// rank 1 enters the first, so the world slot's ring grows 60 deep; the
+// pool keeps maxKeptRendezvous of them when the run ends, and every
+// other must then be collectable, which a stale slot in the ring's
+// backing array would prevent.
+func TestFusedReuseKeepsNoRetiredRendezvous(t *testing.T) {
+	dropIdleRuntimes()
+	const depth = 60
+	filed := make(chan struct{})
+	var rt *runtime
+	var retired []*rendezvous
+	mustRun(t, Config{Model: diffModel(1, 2), Collectives: CollectivesFused, pendLimit: 64}, func(p *Proc) {
+		w := p.World()
+		if p.Rank() == 1 {
+			<-filed
+		}
+		for i := 0; i < depth; i++ {
+			w.BcastPhantom(0, 8)
+		}
+		if p.Rank() == 0 {
+			p.Probe(1, Tag(1)) // files the broadcasts without waiting on them
+			close(filed)
+		}
+		w.Barrier()
+		w.Barrier() // every rendezvous before the first barrier has retired
+		if p.Rank() == 0 {
+			rt = p.rt
+			rt.mu.Lock()
+			for _, s := range rt.slots {
+				retired = append(retired, s.free...)
+			}
+			rt.mu.Unlock()
+		}
+	})
+	if len(retired) < depth {
+		t.Fatalf("only %d retired rendezvous; the ring never grew %d deep", len(retired), depth)
+	}
+	kept := map[*rendezvous]bool{}
+	for _, s := range rt.slots {
+		for _, r := range s.free {
+			kept[r] = true
+		}
+	}
+	var freed atomic.Int64
+	want := int64(0)
+	for _, r := range retired {
+		if !kept[r] {
+			want++
+			goruntime.AddCleanup(r, func(c *atomic.Int64) { c.Add(1) }, &freed)
+		}
+	}
+	kept, retired = nil, nil
+	for deadline := time.Now().Add(5 * time.Second); freed.Load() < want && time.Now().Before(deadline); {
+		goruntime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := freed.Load(); got != want {
+		t.Fatalf("%d of the %d rendezvous the pool dropped were collected; the kept runtime pins the rest", got, want)
+	}
+	goruntime.KeepAlive(rt)
 }

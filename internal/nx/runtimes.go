@@ -152,11 +152,6 @@ func (rt *runtime) start(cfg Config, fused bool, pendLimit int) {
 		if cfg.Trace != nil {
 			p.tview = cfg.Trace.Proc(i)
 		}
-		if cap(p.pend) < pendLimit {
-			// A kept chain from a shallower window is too short for this
-			// one; fusedRendezvous allocates one of the window's size.
-			p.pend = nil
-		}
 	}
 }
 
@@ -197,6 +192,9 @@ func (s *groupSlot) reset() {
 		}
 	}
 	s.kept = len(s.free)
+	clear(s.halos)
+	s.halos = s.halos[:0]
+	clear(s.haloJoins)
 }
 
 // reset zeroes a process's per-run state and trims its buffers.
@@ -209,9 +207,10 @@ func (p *Proc) reset() {
 	clear(p.pend[:cap(p.pend)]) // rendezvous, slots and delta views
 	p.pend = p.pend[:0]
 	p.filed = 0
+	p.pendCells = 0
 	p.deltaBuf = keepBuf(p.deltaBuf, maxKeptDeltas)
 	p.deltaLo = 0
-	p.seq, p.seqSteps, p.seqMarkEnd, p.seqHash = nil, 0, 0, 0
+	p.seq, p.seqSteps, p.seqMarkEnd, p.seqHash, p.seqRep = nil, 0, 0, 0, 0
 	p.stepBuf = keepBuf(p.stepBuf, maxKeptSteps)
 	select {
 	case <-p.wakeCh: // a stale wakeup would spin the next run's first park
