@@ -207,9 +207,9 @@ func RunDistributed(cfg Config) (*Outcome, error) {
 // per halo and a possible host park per iteration. runPhantom settles
 // each chunk (Now) before it opens the next, so a process never has more
 // than one sequence in flight and the world group's ring holds two
-// rendezvous of 528 cells; chaining 16-iteration chunks up to the
-// engine's width bound (nx pendCellLimit) instead allocated 3.1 MB per
-// 200-iteration 16×33 run against 0.95 MB. Measured on the 16×33
+// rendezvous of 528 cells; chaining 16-iteration chunks instead, 17 to a
+// deferred chain, allocated 3.1 MB per 200-iteration 16×33 run against
+// 0.95 MB. Measured on the 16×33
 // halo-528 run (n=1056, 4000 iterations, 2-vCPU Xeon, GOMAXPROCS 2, four
 // interleaved runs each): 16 took 0.33–0.37 s, 32 0.26–0.29 s, 64
 // 0.24–0.28 s, 128 0.19–0.26 s and 256 0.18–0.23 s, against 0.8–1.0 s

@@ -31,10 +31,8 @@ package nx
 //     through more phantom collectives if the program offers them. A
 //     member parks only when it needs a concrete clock (a point-to-point
 //     message, Now, a data-carrying collective, Barrier), after
-//     pendLimit outstanding releases (adaptive in the process count; see
-//     adaptivePendLimit), or once its outstanding posts span more than
-//     pendCellLimit member cells, so wide groups keep short chains.
-//     Rendezvous resolve in dependency order
+//     or after pendLimit outstanding releases (adaptive in the process
+//     count; see adaptivePendLimit). Rendezvous resolve in dependency order
 //     through the completion cascade (fusedCascade), so host-side parks
 //     collapse from one per collective edge to roughly one per chain.
 //   - Batched posting. A deferred post does not take the engine lock: it
@@ -185,21 +183,6 @@ func adaptivePendLimit(n int) int {
 	}
 	return l
 }
-
-// pendCellLimit bounds a deferred chain by width as well as by post
-// count: a member settles once its pending posts span more than this many
-// member cells (the sum of their groups' sizes). The post-count window
-// alone lets a chain of world-group posts at Delta scale hold 32 posts of
-// 528 cells, and a slot's ring about twice that many rendezvous: a run of
-// 200 world BcastPhantoms at 528 processes allocated 5.0 MB, 64 pooled
-// rendezvous. The limit must stay at or above 32 × 33 = 1 056, the
-// widest chain E4 files (32 posts on 33-member row groups), so that E4's
-// settles, parks and rendezvous do not change. Measured on that
-// broadcast run (2-vCPU Xeon): 1 100 (3 posts a chain) allocated 1.1 MB
-// but took 230 µs per broadcast against the unbounded 115 µs, 4 400
-// (9 posts) 1.9 MB and 150 µs, and 8 800 (17 posts) 2.9 MB and
-// 117–127 µs: the shallowest chain that keeps the window's speed.
-const pendCellLimit = 8800
 
 // fusedKind identifies which collective algorithm a rendezvous replays.
 type fusedKind int8
@@ -524,9 +507,8 @@ func (g *Group) fusedCollective(kind fusedKind, root, nbytes int, pl payload, op
 // the phantom collectives and exchanges; Barrier and every data-carrying
 // operation settle before returning.
 func fusedRendezvous(p *Proc, s *groupSlot, me int, kind fusedKind, root, nbytes, count int, lazy bool) (deferred bool) {
-	k := len(s.members)
 	if len(p.pend) == cap(p.pend) {
-		p.growPend(k)
+		p.growPend()
 	}
 	p.engine.FusedPosts++
 	// Build the post in place: a queued post is filed before r is read,
@@ -544,29 +526,23 @@ func fusedRendezvous(p *Proc, s *groupSlot, me int, kind fusedKind, root, nbytes
 		pr.deltas = p.deltaBuf[p.deltaLo:len(p.deltaBuf):len(p.deltaBuf)]
 	}
 	p.deltaLo = len(p.deltaBuf)
-	p.pendCells += k
 	// Tracing needs a concrete clock at every Compute/Elapse, so deferral
 	// is disabled for traced runs; they settle each operation eagerly.
-	return lazy && !p.rt.traceOn && len(p.pend) < p.rt.pendLimit && p.pendCells <= pendCellLimit
+	return lazy && !p.rt.traceOn && len(p.pend) < p.rt.pendLimit
 }
 
-// growPend makes room on the chain for one more post, on k members. A
-// chain buffer starts with one entry, since many chains never get
-// longer: every data collective settles its own post, and so does a
-// program that reads Now after each phantom sequence, as the stencil
-// does (a window-sized buffer for each of its 528 processes would
-// allocate 1 MB). When a second post arrives the buffer grows to what
-// the chain can still reach: the window, or fewer when the width bound
-// ends a chain of k-member posts sooner (pendCellLimit/k+1 posts, 17 for
-// a 528-member world group). A chain that outgrows that, because
-// narrower posts follow, grows straight to the window. The buffer is
-// kept for the rest of the run, and for later runs of a reused runtime.
-func (p *Proc) growPend(k int) {
+// growPend makes room on the chain for one more post. A chain buffer
+// starts with one entry, since many chains never get longer: every data
+// collective settles its own post, and so does a program that reads Now
+// after each phantom sequence, as the stencil does (a window-sized buffer
+// for each of its 528 processes would allocate 1 MB). When a second post
+// arrives the buffer grows to the window, which no chain outgrows. The
+// buffer is kept for the rest of the run, and for later runs of a reused
+// runtime.
+func (p *Proc) growPend() {
 	n := 1
 	if len(p.pend) > 0 {
-		if n = min(p.rt.pendLimit, pendCellLimit/k+1); n <= len(p.pend) {
-			n = p.rt.pendLimit
-		}
+		n = p.rt.pendLimit
 	}
 	pend := make([]pendRef, len(p.pend), n)
 	copy(pend, p.pend)
@@ -950,7 +926,6 @@ func (p *Proc) settleWith(pl payload, op ReduceOp) payload {
 	}
 	p.pend = p.pend[:0]
 	p.filed = 0
-	p.pendCells = 0
 	p.deltaBuf = p.deltaBuf[:0]
 	p.deltaLo = 0
 	p.stepBuf = p.stepBuf[:0]

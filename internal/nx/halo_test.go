@@ -427,40 +427,6 @@ func TestSequenceHaloRefusesOtherGroups(t *testing.T) {
 	}
 }
 
-// TestFusedWidthBoundSettles: a chain of wide posts settles once it spans
-// more than pendCellLimit member cells, before the window does, while a
-// chain of 33-member posts (E4's widest) runs to the window.
-func TestFusedWidthBoundSettles(t *testing.T) {
-	model := machine.Delta()
-	const posts = 40
-	settles := func(members func(p *Proc) []int) int64 {
-		before := ReadEngineStats()
-		mustRun(t, Config{Model: model, Collectives: CollectivesFused}, func(p *Proc) {
-			g := p.Group(members(p))
-			for i := 0; i < posts; i++ {
-				g.BcastPhantom(0, 64)
-			}
-		})
-		return ReadEngineStats().Sub(before).Settles
-	}
-	world := settles(func(p *Proc) []int { return p.World().Members() })
-	per := pendCellLimit/528 + 1 // posts per chain
-	if want := int64(528 * ((posts + per - 1) / per)); world != want {
-		t.Fatalf("528-member chains settled %d times, want %d (%d posts a chain)", world, want, per)
-	}
-	row := settles(func(p *Proc) []int {
-		r := p.Rank() / 33 * 33
-		ms := make([]int, 33)
-		for i := range ms {
-			ms[i] = r + i
-		}
-		return ms
-	})
-	if want := int64(528 * ((posts + 31) / 32)); row != want {
-		t.Fatalf("33-member chains settled %d times, want %d (the window's 32 posts a chain)", row, want)
-	}
-}
-
 // TestFusedDrainWakeSteadyStateAllocs: completions that wake parked
 // members reuse the engine's wake lists, so a steady-state loop of world
 // phantom collectives, each settled by every member (Now), allocates

@@ -37,9 +37,6 @@ type Proc struct {
 	filed    int
 	deltaBuf []float64
 	deltaLo  int
-	// pendCells is the width of the chain: the member cells its posts
-	// span (see pendCellLimit).
-	pendCells int
 	// Phantom-sequence state (see PhantomSequence): seq is the group
 	// whose sequence is open (nil outside one), seqSteps its first step
 	// in stepBuf, seqMarkEnd the deltaBuf index past its last mark,

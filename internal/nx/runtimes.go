@@ -207,7 +207,6 @@ func (p *Proc) reset() {
 	clear(p.pend[:cap(p.pend)]) // rendezvous, slots and delta views
 	p.pend = p.pend[:0]
 	p.filed = 0
-	p.pendCells = 0
 	p.deltaBuf = keepBuf(p.deltaBuf, maxKeptDeltas)
 	p.deltaLo = 0
 	p.seq, p.seqSteps, p.seqMarkEnd, p.seqHash, p.seqRep = nil, 0, 0, 0, 0
