@@ -53,7 +53,7 @@ func runWindow(t *testing.T, model machine.Model, procs int, mode CollectiveMode
 	res, err := Run(Config{
 		Model:       model,
 		Procs:       procs,
-		Collectives: mode,
+		collectives: mode,
 		pendLimit:   window,
 	}, body)
 	if err != nil {
@@ -178,7 +178,9 @@ func TestShardDifferentialRandomPrograms(t *testing.T) {
 								got := g.AllreduceFloats(xs, SumOp)
 								exits[p.Rank()] = append(exits[p.Rank()], got...)
 							case 5:
-								g.BcastFlatPhantom(o.root, 32+o.size)
+								xs := []float64{float64(me), float64(32 + o.size)}
+								got := g.BcastFloats(o.root, xs)
+								exits[p.Rank()] = append(exits[p.Rank()], got...)
 							}
 						default:
 							p.Compute(machine.OpScalar, 500)
@@ -303,7 +305,7 @@ func TestBatchTraceDifferential(t *testing.T) {
 	model := diffModel(2, 4)
 	run := func(mode CollectiveMode) []trace.Record {
 		rec := trace.NewRecorder(model.Nodes())
-		_, err := Run(Config{Model: model, Trace: rec, Collectives: mode}, func(p *Proc) {
+		_, err := Run(Config{Model: model, Trace: rec, collectives: mode}, func(p *Proc) {
 			g := p.World()
 			p.Compute(machine.OpGemm, float64(1e6*(p.Rank()+1)))
 			g.Barrier()
@@ -350,7 +352,7 @@ func TestBatchQueuedPostsFlushBeforeRecv(t *testing.T) {
 	tree := runWindow(t, model, 2, CollectivesTree, 0, body)
 	for _, gmp := range hostProcs() {
 		withGOMAXPROCS(gmp, func() {
-			res, err := Run(Config{Model: model, Collectives: CollectivesFused, pendLimit: 1024, DeadlockAfter: 200 * time.Millisecond}, body)
+			res, err := Run(Config{Model: model, collectives: CollectivesFused, pendLimit: 1024, DeadlockAfter: 200 * time.Millisecond}, body)
 			if err != nil {
 				t.Fatalf("GOMAXPROCS=%d: %v", gmp, err)
 			}
@@ -365,7 +367,7 @@ func TestBatchQueuedPostsFlushBeforeRecv(t *testing.T) {
 // sends. The watchdog must name all three waits.
 func TestBatchQueuedPostsRealDeadlockReported(t *testing.T) {
 	model := diffModel(1, 3)
-	_, err := Run(Config{Model: model, Collectives: CollectivesFused, pendLimit: 1024, DeadlockAfter: 100 * time.Millisecond}, func(p *Proc) {
+	_, err := Run(Config{Model: model, collectives: CollectivesFused, pendLimit: 1024, DeadlockAfter: 100 * time.Millisecond}, func(p *Proc) {
 		if p.Rank() == 2 {
 			p.Recv(0, Tag(7))
 			return
@@ -398,7 +400,7 @@ func TestBatchQueuedPostsRealDeadlockReported(t *testing.T) {
 // collective completes, and the collective needs rank 0's post.
 func TestBatchProbeFlushesQueue(t *testing.T) {
 	model := diffModel(1, 2)
-	_, err := Run(Config{Model: model, Collectives: CollectivesFused, pendLimit: 1024}, func(p *Proc) {
+	_, err := Run(Config{Model: model, collectives: CollectivesFused, pendLimit: 1024}, func(p *Proc) {
 		p.World().BcastPhantom(0, 64)
 		if p.Rank() == 1 {
 			_ = p.Now()
@@ -428,7 +430,7 @@ func TestBatchCancelWithQueuedPosts(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(30*time.Millisecond, cancel)
 	start := time.Now()
-	_, err := Run(Config{Model: model, Ctx: ctx, Collectives: CollectivesFused, pendLimit: 1024, DeadlockAfter: time.Hour}, func(p *Proc) {
+	_, err := Run(Config{Model: model, Ctx: ctx, collectives: CollectivesFused, pendLimit: 1024, DeadlockAfter: time.Hour}, func(p *Proc) {
 		w := p.World()
 		for i := 0; ; i++ {
 			p.Compute(machine.OpVector, 100)
@@ -464,7 +466,7 @@ func TestBatchMismatchedCollectivePanics(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var filed sync.WaitGroup
 			filed.Add(model.Nodes() - 1)
-			_, err := Run(Config{Model: model, Collectives: CollectivesFused, pendLimit: 1024}, func(p *Proc) {
+			_, err := Run(Config{Model: model, collectives: CollectivesFused, pendLimit: 1024}, func(p *Proc) {
 				g := p.World()
 				if p.Rank() == 1 {
 					filed.Wait()

@@ -30,40 +30,24 @@ func shapeFloats(xs []float64) string {
 	return fmt.Sprintf("len=%d %v", len(xs), xs)
 }
 
-// shapeBytes renders a returned byte slice so that nil and empty differ.
-func shapeBytes(bs []byte) string {
-	if bs == nil {
-		return "nil"
-	}
-	return fmt.Sprintf("len=%d %v", len(bs), bs)
-}
-
 // TestCellEmptyDataCollectives: data collectives to which every member
 // contributes nothing — nil, empty, or a mix of the two — must return
-// the tree path's values with the tree path's nil-versus-empty shape
-// (GatherFloats' root returns an empty, non-nil slice; everything else
-// returns nil), at the same clocks and stats, for groups of 1, 2, 16 and
-// 33 members.
+// the tree path's values with the tree path's nil-versus-empty shape,
+// at the same clocks and stats, for groups of 1, 2, 16 and 33 members.
 func TestCellEmptyDataCollectives(t *testing.T) {
 	model := diffModel(3, 11)
 	procs := model.Nodes()
 	contributions := []struct {
 		name   string
 		floats func(me int) []float64
-		bytes  func(me int) []byte
 	}{
-		{"nil", func(int) []float64 { return nil }, func(int) []byte { return nil }},
-		{"empty", func(int) []float64 { return []float64{} }, func(int) []byte { return []byte{} }},
+		{"nil", func(int) []float64 { return nil }},
+		{"empty", func(int) []float64 { return []float64{} }},
 		{"mixed", func(me int) []float64 {
 			if me%2 == 0 {
 				return nil
 			}
 			return []float64{}
-		}, func(me int) []byte {
-			if me%2 == 1 {
-				return nil
-			}
-			return []byte{}
 		}},
 	}
 	for _, k := range []int{1, 2, 16, 33} {
@@ -71,7 +55,7 @@ func TestCellEmptyDataCollectives(t *testing.T) {
 			members := rand.New(rand.NewSource(int64(k))).Perm(procs)[:k]
 			run := func(mode CollectiveMode) (*Result, [][]string) {
 				recs := make([][]string, procs)
-				res := mustRun(t, Config{Model: model, Collectives: mode}, func(p *Proc) {
+				res := mustRun(t, Config{Model: model, collectives: mode}, func(p *Proc) {
 					me := -1
 					for i, m := range members {
 						if m == p.Rank() {
@@ -88,13 +72,10 @@ func TestCellEmptyDataCollectives(t *testing.T) {
 						*rec = append(*rec, shape, fmt.Sprint(p.Now()))
 					}
 					for _, c := range contributions {
-						xs, bs := c.floats(me), c.bytes(me)
+						xs := c.floats(me)
 						for _, root := range []int{0, k - 1} {
 							p.Compute(machine.OpVector, float64(100*(me+1)))
-							note(c.name + " gather " + shapeFloats(g.GatherFloats(root, xs)))
 							note(c.name + " bcastf " + shapeFloats(g.BcastFloats(root, xs)))
-							note(c.name + " bcast " + shapeBytes(g.Bcast(root, bs)))
-							note(c.name + " reduce " + shapeFloats(g.ReduceFloats(root, xs, SumOp)))
 						}
 						note(c.name + " allreduce " + shapeFloats(g.AllreduceFloats(xs, SumOp)))
 						// A deferred phantom collective between the data
@@ -121,9 +102,9 @@ func TestCellEmptyDataCollectives(t *testing.T) {
 // pooled rendezvous is recycled many times, under deferred chains, and
 // diffs the values, clocks, stats and trace spans against the tree path
 // at every GOMAXPROCS setting and batching window. A stale payload (a
-// gather's non-root returning the previous broadcast, a nil contribution
-// replaced by the previous round's), a stale link or a stale stamp would
-// each show as a divergence or a panic.
+// nil root contribution replaced by the previous round's, a reduce
+// combining the previous round's accumulator), a stale link or a stale
+// stamp would each show as a divergence or a panic.
 func TestCellPooledReuse(t *testing.T) {
 	model := diffModel(2, 8)
 	procs := model.Nodes()
@@ -149,20 +130,17 @@ func TestCellPooledReuse(t *testing.T) {
 					}
 					*rec = append(*rec, shapeFloats(g.BcastFloats(root, xs)))
 				case 1:
-					var xs []float64
-					if (me+it)%3 != 0 {
-						xs = []float64{float64(me) + float64(it)/8}
-					}
-					*rec = append(*rec, shapeFloats(g.GatherFloats(root, xs)))
+					xs := []float64{float64((me+it)%3) + float64(it)/8, float64(me)}
+					*rec = append(*rec, shapeFloats(g.AllreduceFloats(xs, maxLocOp)))
 				case 2:
 					xs := []float64{float64(me * it), 1}
-					*rec = append(*rec, shapeFloats(g.ReduceFloats(root, xs, MaxOp)))
+					*rec = append(*rec, shapeFloats(g.AllreduceFloats(xs, maxOp)))
 				case 3:
-					var bs []byte
+					var xs []float64
 					if me == root && it%8 == 3 {
-						bs = []byte{byte(it), byte(me)}
+						xs = []float64{float64(it), float64(me)}
 					}
-					*rec = append(*rec, shapeBytes(g.Bcast(root, bs)))
+					*rec = append(*rec, shapeFloats(g.BcastFloats(root, xs)))
 				}
 				g.ReducePhantom((it*3)%procs, 8)
 				if it%5 == 0 {
@@ -173,7 +151,7 @@ func TestCellPooledReuse(t *testing.T) {
 	}
 	run := func(mode CollectiveMode, window int, traced bool) (*Result, [][]string, []trace.Record) {
 		recs := make([][]string, procs)
-		cfg := Config{Model: model, Collectives: mode, pendLimit: window}
+		cfg := Config{Model: model, collectives: mode, pendLimit: window}
 		var rec *trace.Recorder
 		if traced {
 			rec = trace.NewRecorder(procs)
@@ -237,12 +215,12 @@ func TestCellNarrowFieldsChecked(t *testing.T) {
 		body func(p *Proc)
 		want string
 	}{
-		{"root", func(p *Proc) { p.World().BcastFlatPhantom(1<<32, 8) }, "BcastFlat root 4294967296 out of range [0,4)"},
+		{"root", func(p *Proc) { p.World().ReducePhantom(1<<32, 8) }, "ReducePhantom root 4294967296 out of range [0,4)"},
 		{"negative-root", func(p *Proc) { p.World().AllreducePhantom(-1, 8) }, "AllreducePhantom root -1 out of range [0,4)"},
 		{"batch", func(p *Proc) { p.ExchangeBatchPhantom(p.Rank()^1, Tag(1), 8, math.MaxInt32+1) }, "exceeds 2147483647"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Run(Config{Model: model, Collectives: CollectivesFused}, tc.body)
+			_, err := Run(Config{Model: model, collectives: CollectivesFused}, tc.body)
 			var pe *PanicError
 			if !errors.As(err, &pe) || !strings.Contains(fmt.Sprint(pe.Value), tc.want) {
 				t.Fatalf("err = %v, want a PanicError containing %q", err, tc.want)
@@ -264,14 +242,14 @@ func TestEngineStatsCounts(t *testing.T) {
 		_ = p.Now()
 	}
 	before := ReadEngineStats()
-	mustRun(t, Config{Model: model, Collectives: CollectivesFused}, body)
+	mustRun(t, Config{Model: model, collectives: CollectivesFused}, body)
 	st := ReadEngineStats().Sub(before)
 	if st.FusedPosts != 4*ops || st.Rendezvous != ops || st.Pooled < 1 || st.Settles < 4 || st.Flushes < 4 {
 		t.Fatalf("fused run counted %v; want %d posts, %d rendezvous, at least one pooled rendezvous, four settles and four flushes",
 			st, 4*ops, ops)
 	}
 	before = ReadEngineStats()
-	mustRun(t, Config{Model: model, Collectives: CollectivesTree}, body)
+	mustRun(t, Config{Model: model, collectives: CollectivesTree}, body)
 	if st := ReadEngineStats().Sub(before); st.FusedPosts != 0 || st.Rendezvous != 0 || st.Pooled != 0 {
 		t.Fatalf("tree run counted fused work: %v", st)
 	}

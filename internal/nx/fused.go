@@ -30,9 +30,9 @@ package nx
 //     (previous release ⊕ recorded local advances) and keeps running —
 //     through more phantom collectives if the program offers them. A
 //     member parks only when it needs a concrete clock (a point-to-point
-//     message, Now, a data-carrying collective, Barrier), after
-//     or after pendLimit outstanding releases (adaptive in the process
-//     count; see adaptivePendLimit). Rendezvous resolve in dependency order
+//     message, Now, a data-carrying collective, Barrier) or once it has
+//     pendLimit outstanding releases (adaptive in the process count; see
+//     adaptivePendLimit). Rendezvous resolve in dependency order
 //     through the completion cascade (fusedCascade), so host-side parks
 //     collapse from one per collective edge to roughly one per chain.
 //   - Batched posting. A deferred post does not take the engine lock: it
@@ -60,9 +60,9 @@ package nx
 //     the lock.
 //   - Phantom sequences (sequence.go). Group.PhantomSequence records a
 //     run of phantom steps on one group — BcastPhantom, ReducePhantom,
-//     AllreducePhantom, BcastFlatPhantom and Group.ExchangePhantom, with
-//     each member's Compute and Elapse charges between them — and posts
-//     it as one deferred rendezvous whose replay runs the steps in order.
+//     AllreducePhantom, Group.ExchangePhantom and Halo.Exchange, with
+//     each member's Compute charges between them — and posts it as one
+//     deferred rendezvous whose replay runs the steps in order.
 //     Every member must record the same steps. Sends, receives, Now,
 //     Probe, Barrier, data collectives, other groups' collectives and
 //     nested sequences inside one fail the run. On the tree engine, on
@@ -89,8 +89,28 @@ package nx
 // deadlock here and are caught by the watchdog; see the collective-modes
 // section of docs/WORKLOADS.md.
 //
-// The ring allreduce (collective2.go) stays on the message path in every
-// mode; it is an ablation baseline, not a hot path.
+// The fused collectives are Barrier, BcastFloats, BcastPhantom,
+// ReducePhantom, AllreduceFloats and AllreducePhantom; the fused steps are
+// ExchangeBatchPhantom, PhantomSequence and Halo.Exchange. The ablation
+// baselines (ring allreduce, flat broadcast; ablation.go) take the message
+// path in every mode.
+//
+// The exported surface is what the workloads, apps, examples, cmd and
+// perfbench call. These calls were kept for the reason given:
+//
+//   - Proc.Probe: tests use it to file queued posts without waiting
+//     (TestBatchMismatchedCollectivePanics,
+//     TestFusedReuseKeepsNoRetiredRendezvous); replacing it would need an
+//     equal test hook.
+//   - AnySrc and AnyTag: hpccdet's wildcard-receive rule names them.
+//   - Proc.ExchangeBatchPhantom: micro/pingpong and a perfbench probe
+//     call it.
+//   - RingAllreducePhantom and BcastFlatPhantom: the root bench_test.go
+//     ablations measure the tree collectives against them.
+//   - CollectiveMode, SetDefaultCollectives and DefaultCollectives: the
+//     tree engine is the oracle that cross-package differentials select,
+//     and the perfbench journal header records DefaultCollectives.
+//   - DefaultShards: the perfbench journal header records it.
 
 import (
 	"fmt"
@@ -103,15 +123,13 @@ import (
 // CollectiveMode selects how Group collectives execute.
 type CollectiveMode int
 
-// Collective execution modes.
+// Collective execution modes. They start at 1, so an unset mode (see
+// Config.collectives) is none of them.
 const (
-	// CollectivesAuto (the zero value) uses the process-wide default:
-	// fused, unless SetDefaultCollectives says otherwise.
-	CollectivesAuto CollectiveMode = iota
 	// CollectivesFused computes each collective analytically in one
 	// rendezvous (this file). Virtual times and stats are bit-identical
 	// to CollectivesTree.
-	CollectivesFused
+	CollectivesFused CollectiveMode = iota + 1
 	// CollectivesTree schedules every tree edge as a real point-to-point
 	// message (the legacy path in group.go).
 	CollectivesTree
@@ -120,8 +138,6 @@ const (
 // String names the mode.
 func (m CollectiveMode) String() string {
 	switch m {
-	case CollectivesAuto:
-		return "auto"
 	case CollectivesFused:
 		return "fused"
 	case CollectivesTree:
@@ -130,28 +146,24 @@ func (m CollectiveMode) String() string {
 	return fmt.Sprintf("CollectiveMode(%d)", int(m))
 }
 
-// defaultCollectives is what CollectivesAuto resolves to. It is atomic so
-// a test can switch it while no simulation runs without racing the
-// runtime's readers.
+// defaultCollectives is the mode of runs that do not set one. It is
+// atomic so a test can switch it while no simulation runs without racing
+// the runtime's readers.
 var defaultCollectives atomic.Int32
 
 func init() { defaultCollectives.Store(int32(CollectivesFused)) }
 
-// SetDefaultCollectives sets what CollectivesAuto resolves to for runs
-// that do not pin Config.Collectives. The tree path is a test oracle:
-// differential tests select it to prove the fused engine bit-identical,
-// and benchmarks to measure what fusing saves; no command-line flag or
-// environment variable selects it. Mid-run calls affect only runs
-// started afterwards.
+// SetDefaultCollectives sets the collective mode of every later run. The
+// tree path is a test oracle: differential tests select it to prove the
+// fused engine bit-identical, and benchmarks to measure what fusing
+// saves; no command-line flag or environment variable selects it.
+// Mid-run calls affect only runs started afterwards.
 func SetDefaultCollectives(m CollectiveMode) {
-	if m == CollectivesAuto {
-		m = CollectivesFused
-	}
 	defaultCollectives.Store(int32(m))
 }
 
-// DefaultCollectives returns what CollectivesAuto currently resolves to:
-// fused unless a test has called SetDefaultCollectives.
+// DefaultCollectives returns the collective mode of runs: fused unless a
+// test has called SetDefaultCollectives.
 func DefaultCollectives() CollectiveMode {
 	return CollectiveMode(defaultCollectives.Load())
 }
@@ -190,10 +202,7 @@ type fusedKind int8
 const (
 	fusedBarrier fusedKind = iota
 	fusedBcast
-	fusedFlatBcast
-	fusedReduceFloats
 	fusedReducePhantom
-	fusedGather
 	// The allreduce kinds replay a reduce tree immediately followed by a
 	// broadcast tree — the Allreduce{Floats,Phantom} pair — in one
 	// rendezvous, so the hottest pattern (LINPACK's per-column pivot
@@ -218,14 +227,8 @@ func (k fusedKind) String() string {
 		return "Barrier"
 	case fusedBcast:
 		return "Bcast"
-	case fusedFlatBcast:
-		return "BcastFlat"
-	case fusedReduceFloats:
-		return "ReduceFloats"
 	case fusedReducePhantom:
 		return "ReducePhantom"
-	case fusedGather:
-		return "GatherFloats"
 	case fusedAllreduceFloats:
 		return "AllreduceFloats"
 	case fusedAllreducePhantom:
@@ -260,7 +263,7 @@ func (k fusedKind) tags() int {
 // (the head of the member's deferred chain) or symbolic: the member
 // entered while its release from its previous rendezvous was still
 // outstanding, so its entry state is that release advanced by deltas —
-// the exact Compute/Elapse charges, in order, so the resolved clock is
+// the exact Compute charges, in order, so the resolved clock is
 // bit-identical to the eager one (resolveCell). Symbolic entries are
 // what let a member run ahead through phantom collectives without
 // parking; see fusedRendezvous.
@@ -457,13 +460,10 @@ func (rt *runtime) abortSlots() {
 // collectives: post the entry; lazy operations (the phantom collectives,
 // which carry no result) keep running with the release deferred, the
 // rest settle immediately. Every member of the group must call it with
-// the same kind, root and laziness (the public methods guarantee that);
-// pl, op and nbytes carry per-member contributions.
+// the same kind, root and laziness (the public methods guarantee that,
+// and check root with checkRoot); pl, op and nbytes carry per-member
+// contributions.
 func (g *Group) fusedCollective(kind fusedKind, root, nbytes int, pl payload, op ReduceOp, lazy bool) payload {
-	if root < 0 || root >= len(g.members) {
-		// Checked here because the rendezvous cell holds root as int32.
-		panic(fmt.Sprintf("nx: %v root %d out of range [0,%d)", kind, root, len(g.members)))
-	}
 	for t := kind.tags(); t > 0; t-- {
 		g.nextTag() // keep the tag sequence aligned with the tree path
 	}
@@ -526,7 +526,7 @@ func fusedRendezvous(p *Proc, s *groupSlot, me int, kind fusedKind, root, nbytes
 		pr.deltas = p.deltaBuf[p.deltaLo:len(p.deltaBuf):len(p.deltaBuf)]
 	}
 	p.deltaLo = len(p.deltaBuf)
-	// Tracing needs a concrete clock at every Compute/Elapse, so deferral
+	// Tracing needs a concrete clock at every Compute, so deferral
 	// is disabled for traced runs; they settle each operation eagerly.
 	return lazy && !p.rt.traceOn && len(p.pend) < p.rt.pendLimit
 }
@@ -595,7 +595,7 @@ func (p *Proc) fileQueued(pl payload, op ReduceOp) {
 				pc.next, pc.nextIdx = r, pr.idx
 			}
 		}
-		if i == len(p.pend)-1 && (pl.data != nil || pl.floats != nil || op != nil) {
+		if i == len(p.pend)-1 && (pl.floats != nil || op != nil) {
 			sd := r.sideFor()
 			sd.pls[me], sd.ops[me] = pl, op
 		}
@@ -966,14 +966,8 @@ func fusedCompute(p *Proc, r *rendezvous) {
 		f.barrier()
 	case fusedBcast:
 		f.bcast(root)
-	case fusedFlatBcast:
-		f.flatBcast(root)
-	case fusedReduceFloats:
-		f.reduce(root, true)
 	case fusedReducePhantom:
 		f.reduce(root, false)
-	case fusedGather:
-		f.gather(root)
 	case fusedAllreduceFloats:
 		f.reduce(root, true)
 		f.bcastReduced(root)
@@ -1131,11 +1125,11 @@ func (f *fusedSim) op(i int) ReduceOp {
 	return nil
 }
 
-// setOut records member i's result payload. A payload with neither data
-// nor floats reads back as nil either way, so it is not stored, and a
-// phantom rendezvous never allocates its side.
+// setOut records member i's result payload. A payload without floats
+// reads back as nil either way, so it is not stored, and a phantom
+// rendezvous never allocates its side.
 func (f *fusedSim) setOut(i int, pl payload) {
-	if pl.data == nil && pl.floats == nil {
+	if pl.floats == nil {
 		return
 	}
 	f.r.sideFor().out[i] = pl
@@ -1184,25 +1178,7 @@ func (f *fusedSim) bcastReduced(root int) {
 	f.bcastPayload(root, payload{floats: cp, bytes: 8 * len(cp)})
 }
 
-// flatBcast replays BcastFlatPhantom: the root sends to every member in
-// group order, each member receives one message.
-func (f *fusedSim) flatBcast(root int) {
-	n := len(f.r.cells)
-	nbytes := f.r.cells[root].nbytes
-	arr := f.scratchArr()
-	for i := 0; i < n; i++ {
-		if i != root {
-			arr[i] = f.send(root, i, nbytes)
-		}
-	}
-	for i := 0; i < n; i++ {
-		if i != root {
-			f.recv(i, arr[i])
-		}
-	}
-}
-
-// reduce replays ReduceFloats (floats=true) or ReducePhantom
+// reduce replays reduceFloats (floats=true) or ReducePhantom
 // (floats=false): members are processed in decreasing virtual rank, so
 // every child's send is replayed before its parent's receive; within a
 // member the legacy mask loop runs verbatim, including the combine order
@@ -1270,30 +1246,4 @@ func (f *fusedSim) exchange(a, b, nbytes, count int) {
 		f.recv(a, arr[a])
 		f.recv(b, arr[b])
 	}
-}
-
-// gather replays GatherFloats: every non-root sends its contribution to
-// the root, which receives them in group order and concatenates all
-// contributions (its own in place) into one freshly built slice.
-func (f *fusedSim) gather(root int) {
-	n := len(f.r.cells)
-	arr := f.scratchArr()
-	for i := 0; i < n; i++ {
-		if i != root {
-			arr[i] = f.send(i, root, 8*len(f.payload(i).floats))
-		}
-	}
-	total := len(f.payload(root).floats)
-	for i := 0; i < n; i++ {
-		if i == root {
-			continue
-		}
-		f.recv(root, arr[i])
-		total += len(f.payload(i).floats)
-	}
-	out := make([]float64, 0, total)
-	for i := 0; i < n; i++ {
-		out = append(out, f.payload(i).floats...)
-	}
-	f.setOut(root, payload{floats: out})
 }

@@ -14,7 +14,7 @@ func benchCollectives(b *testing.B, mode CollectiveMode, members, iters int) {
 	model := machine.Delta()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, err := Run(Config{Model: model, Procs: members, Collectives: mode}, func(p *Proc) {
+		_, err := Run(Config{Model: model, Procs: members, collectives: mode}, func(p *Proc) {
 			g := p.World()
 			for it := 0; it < iters; it++ {
 				g.AllreducePhantom(0, 16)

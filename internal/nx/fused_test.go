@@ -28,11 +28,11 @@ func diffModel(rows, cols int) machine.Model {
 // and returns the two results plus whatever the body recorded per proc.
 func runBoth(t *testing.T, model machine.Model, procs int, make func(mode CollectiveMode) func(p *Proc)) (tree, fused *Result) {
 	t.Helper()
-	tree, err := Run(Config{Model: model, Procs: procs, Collectives: CollectivesTree}, make(CollectivesTree))
+	tree, err := Run(Config{Model: model, Procs: procs, collectives: CollectivesTree}, make(CollectivesTree))
 	if err != nil {
 		t.Fatalf("tree run: %v", err)
 	}
-	fused, err = Run(Config{Model: model, Procs: procs, Collectives: CollectivesFused}, make(CollectivesFused))
+	fused, err = Run(Config{Model: model, Procs: procs, collectives: CollectivesFused}, make(CollectivesFused))
 	if err != nil {
 		t.Fatalf("fused run: %v", err)
 	}
@@ -124,14 +124,14 @@ func TestFusedDifferentialRandomPrograms(t *testing.T) {
 						case 1:
 							g.BcastPhantom(o.root, 64+o.size)
 						case 2:
-							data := []byte(nil)
+							var xs []float64
 							if me == o.root {
-								data = make([]byte, 3+o.size)
-								for i := range data {
-									data[i] = byte(o.root + i)
+								xs = make([]float64, 3+o.size)
+								for i := range xs {
+									xs[i] = float64(o.root + i)
 								}
 							}
-							got := g.Bcast(o.root, data)
+							got := g.BcastFloats(o.root, xs)
 							outs[mode][p.Rank()] = append(outs[mode][p.Rank()], float64(len(got)))
 						case 3:
 							xs := make([]float64, 2+o.size)
@@ -142,25 +142,25 @@ func TestFusedDifferentialRandomPrograms(t *testing.T) {
 							outs[mode][p.Rank()] = append(outs[mode][p.Rank()], got...)
 						case 4:
 							g.ReducePhantom(o.root, 8*(1+o.size))
-							g.BcastFlatPhantom(o.root, 16)
+							g.AllreducePhantom(o.root, 16)
 						case 5:
 							xs := make([]float64, 1+o.size)
 							for i := range xs {
 								xs[i] = 1.0 / float64(me+i+1)
 							}
-							got := g.ReduceFloats(o.root, xs, SumOp)
+							got := g.AllreduceFloats(xs, SumOp)
 							outs[mode][p.Rank()] = append(outs[mode][p.Rank()], got...)
 						case 6:
 							xs := make([]float64, 1+me%3)
 							for i := range xs {
 								xs[i] = float64(me) + float64(i)*0.5
 							}
-							got := g.GatherFloats(o.root, xs)
+							got := g.BcastFloats(o.root, xs)
 							outs[mode][p.Rank()] = append(outs[mode][p.Rank()], got...)
 						case 7:
 							v := math.Sin(float64(me + o.size))
-							mx, loc := g.MaxLoc(v)
-							outs[mode][p.Rank()] = append(outs[mode][p.Rank()], mx, float64(loc))
+							got := g.AllreduceFloats([]float64{v, float64(me)}, maxLocOp)
+							outs[mode][p.Rank()] = append(outs[mode][p.Rank()], got...)
 						}
 						exits[mode][p.Rank()] = append(exits[mode][p.Rank()], p.Now())
 					}
@@ -196,7 +196,7 @@ func TestFusedDifferentialAllreducePair(t *testing.T) {
 	}
 	run := func(mode CollectiveMode) []rec {
 		recs := make([]rec, procs)
-		_, err := Run(Config{Model: model, Collectives: mode}, func(p *Proc) {
+		_, err := Run(Config{Model: model, collectives: mode}, func(p *Proc) {
 			g := p.World()
 			r := &recs[p.Rank()]
 			for it := 0; it < 20; it++ {
@@ -212,7 +212,7 @@ func TestFusedDifferentialAllreducePair(t *testing.T) {
 						p.Recv(peer, Tag(it%100))
 					}
 				}
-				out := g.AllreduceFloats([]float64{float64(p.Rank()) * 0.3, float64(it)}, MaxOp)
+				out := g.AllreduceFloats([]float64{float64(p.Rank()) * 0.3, float64(it)}, maxOp)
 				r.vals = append(r.vals, out...)
 				r.clocks = append(r.clocks, p.Now())
 			}
@@ -238,7 +238,7 @@ func TestFusedDifferentialTrace(t *testing.T) {
 	model := diffModel(2, 4)
 	run := func(mode CollectiveMode) []trace.Record {
 		rec := trace.NewRecorder(model.Nodes())
-		_, err := Run(Config{Model: model, Trace: rec, Collectives: mode}, func(p *Proc) {
+		_, err := Run(Config{Model: model, Trace: rec, collectives: mode}, func(p *Proc) {
 			g := p.World()
 			p.Compute(machine.OpGemm, float64(1e6*(p.Rank()+1)))
 			g.Barrier()
@@ -269,7 +269,7 @@ func TestFusedDifferentialTrace(t *testing.T) {
 func TestFusedSameMemberGroupsSequential(t *testing.T) {
 	model := diffModel(1, 4)
 	run := func(mode CollectiveMode) *Result {
-		res, err := Run(Config{Model: model, Collectives: mode}, func(p *Proc) {
+		res, err := Run(Config{Model: model, collectives: mode}, func(p *Proc) {
 			a := p.World()
 			a.Barrier()
 			a.BcastPhantom(0, 100)
@@ -291,7 +291,7 @@ func TestFusedSameMemberGroupsSequential(t *testing.T) {
 // naming the fused wait.
 func TestFusedDeadlockDetected(t *testing.T) {
 	model := diffModel(1, 3)
-	_, err := Run(Config{Model: model, DeadlockAfter: 100e6, Collectives: CollectivesFused}, func(p *Proc) {
+	_, err := Run(Config{Model: model, DeadlockAfter: 100e6, collectives: CollectivesFused}, func(p *Proc) {
 		if p.Rank() == 2 {
 			// Never enters the barrier; parks on a receive instead.
 			p.Recv(0, 7)
@@ -327,15 +327,15 @@ func TestFusedDeadlockDetected(t *testing.T) {
 func TestFusedGroupStatsMatchSingleProc(t *testing.T) {
 	model := diffModel(1, 1)
 	run := func(mode CollectiveMode) *Result {
-		res, err := Run(Config{Model: model, Collectives: mode}, func(p *Proc) {
+		res, err := Run(Config{Model: model, collectives: mode}, func(p *Proc) {
 			g := p.World()
 			g.Barrier()
 			g.BcastPhantom(0, 10)
 			g.ReducePhantom(0, 10)
 			g.AllreducePhantom(0, 10)
-			out := g.GatherFloats(0, []float64{1, 2})
+			out := g.AllreduceFloats([]float64{1, 2}, SumOp)
 			if len(out) != 2 {
-				panic("gather self")
+				panic("allreduce self")
 			}
 		})
 		if err != nil {

@@ -25,16 +25,15 @@ type Group struct {
 	slot    *groupSlot // the list's run-wide metadata: tag base, rendezvous anchor
 }
 
-// payload is the value a collective moves around: a byte slice, a float
-// slice, or a phantom byte count.
+// payload is the value a collective moves around: a float slice, or a
+// phantom byte count.
 type payload struct {
-	data   []byte
 	floats []float64
 	bytes  int
 }
 
 func (pl payload) send(p *Proc, dst int, tag Tag) {
-	p.sendRaw(dst, tag, pl.data, pl.floats, pl.bytes)
+	p.sendRaw(dst, tag, pl.floats, pl.bytes)
 }
 
 // Group creates a collective group from an ordered member list. The calling
@@ -136,11 +135,6 @@ func (g *Group) Size() int { return len(g.members) }
 // Rank returns the calling process's index within the group.
 func (g *Group) Rank() int { return g.me }
 
-// Members returns a copy of the ordered member list.
-func (g *Group) Members() []int {
-	return append([]int(nil), g.members...)
-}
-
 // nextTag advances the per-group collective sequence number.
 func (g *Group) nextTag() Tag {
 	t := g.slot.base + g.seq%256
@@ -149,6 +143,15 @@ func (g *Group) nextTag() Tag {
 }
 
 func (g *Group) global(idx int) int { return g.members[idx] }
+
+// checkRoot panics unless root is a group rank. Every rooted collective
+// checks on entry, so both engines refuse the same roots (and the fused
+// cell, which holds root as int32, never sees one out of range).
+func (g *Group) checkRoot(op string, root int) {
+	if root < 0 || root >= len(g.members) {
+		panic(fmt.Sprintf("nx: %s root %d out of range [0,%d)", op, root, len(g.members)))
+	}
+}
 
 // Barrier blocks until every group member has entered it, using the
 // dissemination algorithm (ceil(log2 n) zero-byte rounds).
@@ -167,7 +170,7 @@ func (g *Group) Barrier() {
 	for k := 1; k < n; k <<= 1 {
 		to := g.global((g.me + k) % n)
 		from := g.global((g.me - k%n + n) % n)
-		g.p.sendRaw(to, tag, nil, nil, 0)
+		g.p.sendRaw(to, tag, nil, 0)
 		g.p.recvRaw(from, tag)
 	}
 }
@@ -177,10 +180,8 @@ func (g *Group) Barrier() {
 // payload-free variant, whose fused release may be deferred (no member
 // consumes a result).
 func (g *Group) bcast(root int, pl payload, phantom bool) payload {
+	g.checkRoot("bcast", root)
 	n := len(g.members)
-	if root < 0 || root >= n {
-		panic(fmt.Sprintf("nx: bcast root %d out of range [0,%d)", root, n))
-	}
 	if n == 1 {
 		return pl
 	}
@@ -209,16 +210,6 @@ func (g *Group) bcast(root int, pl payload, phantom bool) payload {
 	return pl
 }
 
-// Bcast broadcasts data from the member with group rank root; every member
-// returns the broadcast bytes.
-func (g *Group) Bcast(root int, data []byte) []byte {
-	var pl payload
-	if g.me == root {
-		pl = payload{data: append([]byte(nil), data...), bytes: len(data)}
-	}
-	return g.bcast(root, pl, false).data
-}
-
 // BcastFloats broadcasts xs from the member with group rank root.
 func (g *Group) BcastFloats(root int, xs []float64) []float64 {
 	var pl payload
@@ -236,31 +227,6 @@ func (g *Group) BcastPhantom(root, nbytes int) {
 	g.bcast(root, payload{bytes: nbytes}, true)
 }
 
-// BcastFlatPhantom models a naive linear broadcast (the root sends to each
-// member in turn) of nbytes. It exists as the ablation baseline for the
-// binomial-tree algorithm: O(P) serialized sends versus O(log P) rounds.
-func (g *Group) BcastFlatPhantom(root, nbytes int) {
-	n := len(g.members)
-	if n == 1 {
-		return
-	}
-	if g.p.fused {
-		g.fusedCollective(fusedFlatBcast, root, nbytes, payload{}, nil, true)
-		return
-	}
-	tag := g.nextTag()
-	if g.me == root {
-		for i := 0; i < n; i++ {
-			if i == root {
-				continue
-			}
-			g.p.sendRaw(g.global(i), tag, nil, nil, nbytes)
-		}
-		return
-	}
-	g.p.recvRaw(g.global(root), tag)
-}
-
 // ReduceOp combines a partial result into an accumulator, elementwise over
 // equal-length slices. It must be associative and commutative.
 type ReduceOp func(acc, in []float64)
@@ -272,53 +238,27 @@ func SumOp(acc, in []float64) {
 	}
 }
 
-// MaxOp accumulates elementwise maxima.
-func MaxOp(acc, in []float64) {
-	for i := range acc {
-		if in[i] > acc[i] {
-			acc[i] = in[i]
-		}
-	}
-}
-
-// MinOp accumulates elementwise minima.
-func MinOp(acc, in []float64) {
-	for i := range acc {
-		if in[i] < acc[i] {
-			acc[i] = in[i]
-		}
-	}
-}
-
-// ReduceFloats reduces xs across the group with op on a binomial tree. The
-// member with group rank root returns the reduced slice; others return nil.
-// All members must pass slices of identical length. The combination order is
-// fixed by the tree, so results are bitwise reproducible run to run.
-func (g *Group) ReduceFloats(root int, xs []float64, op ReduceOp) []float64 {
+// reduceFloats is the tree engine's reduce half of AllreduceFloats: it
+// reduces xs across the group with op on a binomial tree rooted at group
+// rank 0, which returns the reduced slice; others return nil. All members
+// must pass slices of identical length. The combination order is fixed by
+// the tree, so results are bitwise reproducible run to run.
+func (g *Group) reduceFloats(xs []float64, op ReduceOp) []float64 {
 	n := len(g.members)
-	if root < 0 || root >= n {
-		panic(fmt.Sprintf("nx: reduce root %d out of range [0,%d)", root, n))
-	}
 	acc := append([]float64(nil), xs...)
 	if n == 1 {
 		return acc
 	}
-	if g.p.fused {
-		return g.fusedCollective(fusedReduceFloats, root, 0, payload{floats: acc}, op, false).floats
-	}
 	tag := g.nextTag()
-	vrank := (g.me - root + n) % n
 	mask := 1
 	for mask < n {
-		if vrank&mask != 0 {
-			dst := g.global(((vrank - mask) + root) % n)
-			g.p.sendRaw(dst, tag, nil, acc, 8*len(acc))
+		if g.me&mask != 0 {
+			g.p.sendRaw(g.global(g.me-mask), tag, acc, 8*len(acc))
 			acc = nil
 			break
 		}
-		if vrank+mask < n {
-			src := g.global(((vrank + mask) + root) % n)
-			in := g.p.recvRaw(src, tag).payload().floats
+		if g.me+mask < n {
+			in := g.p.recvRaw(g.global(g.me+mask), tag).payload().floats
 			if len(in) != len(acc) {
 				panic(fmt.Sprintf("nx: reduce length mismatch: %d vs %d", len(in), len(acc)))
 			}
@@ -334,17 +274,17 @@ func (g *Group) ReduceFloats(root int, xs []float64, op ReduceOp) []float64 {
 func (g *Group) AllreduceFloats(xs []float64, op ReduceOp) []float64 {
 	if g.p.fused && len(g.members) > 1 {
 		// One rendezvous replays the reduce tree and the broadcast tree
-		// back to back; the copy mirrors ReduceFloats' accumulator copy.
+		// back to back; the copy mirrors reduceFloats' accumulator copy.
 		acc := append([]float64(nil), xs...)
 		return g.fusedCollective(fusedAllreduceFloats, 0, 0, payload{floats: acc}, op, false).floats
 	}
-	red := g.ReduceFloats(0, xs, op)
-	return g.BcastFloats(0, red)
+	return g.BcastFloats(0, g.reduceFloats(xs, op))
 }
 
 // ReducePhantom models the communication of a reduce of nbytes payloads
 // without moving data.
 func (g *Group) ReducePhantom(root, nbytes int) {
+	g.checkRoot("ReducePhantom", root)
 	n := len(g.members)
 	if n == 1 {
 		return
@@ -359,7 +299,7 @@ func (g *Group) ReducePhantom(root, nbytes int) {
 	for mask < n {
 		if vrank&mask != 0 {
 			dst := g.global(((vrank - mask) + root) % n)
-			g.p.sendRaw(dst, tag, nil, nil, nbytes)
+			g.p.sendRaw(dst, tag, nil, nbytes)
 			break
 		}
 		if vrank+mask < n {
@@ -377,74 +317,11 @@ func (g *Group) ReducePhantom(root, nbytes int) {
 // halving the synchronizations of the hottest collective sequence while
 // producing bit-identical virtual times.
 func (g *Group) AllreducePhantom(root, nbytes int) {
+	g.checkRoot("AllreducePhantom", root)
 	if g.p.fused && len(g.members) > 1 {
 		g.fusedCollective(fusedAllreducePhantom, root, nbytes, payload{}, nil, true)
 		return
 	}
 	g.ReducePhantom(root, nbytes)
 	g.BcastPhantom(root, nbytes)
-}
-
-// MaxLoc returns the maximum of v across the group and the group rank that
-// holds it (lowest rank wins ties). Every member returns the same pair.
-// It is the pivot-search primitive of the distributed LU factorization.
-func (g *Group) MaxLoc(v float64) (float64, int) {
-	out := g.AllreduceFloats([]float64{v, float64(g.me)}, maxLocOp)
-	return out[0], int(out[1])
-}
-
-// maxLocOp combines (value, index) pairs keeping the larger value, with the
-// smaller index breaking ties.
-func maxLocOp(acc, in []float64) {
-	for i := 0; i+1 < len(acc); i += 2 {
-		if in[i] > acc[i] || (in[i] == acc[i] && in[i+1] < acc[i+1]) {
-			acc[i], acc[i+1] = in[i], in[i+1]
-		}
-	}
-}
-
-// GatherFloats gathers each member's xs to the member with group rank root,
-// concatenated in group order. Only the root returns a non-nil slice.
-// Members may contribute slices of different lengths.
-func (g *Group) GatherFloats(root int, xs []float64) []float64 {
-	n := len(g.members)
-	if root < 0 || root >= n {
-		panic(fmt.Sprintf("nx: gather root %d out of range [0,%d)", root, n))
-	}
-	if g.p.fused {
-		pl := payload{floats: xs}
-		if g.me != root {
-			// The tree path copies at send time; keep the same ownership.
-			pl = payload{floats: append([]float64(nil), xs...)}
-		}
-		return g.fusedCollective(fusedGather, root, 0, pl, nil, false).floats
-	}
-	tag := g.nextTag()
-	if g.me != root {
-		g.p.sendRaw(g.global(root), tag, nil, append([]float64(nil), xs...), 8*len(xs))
-		return nil
-	}
-	parts := make([][]float64, n)
-	parts[root] = xs
-	total := len(xs)
-	for i := 0; i < n; i++ {
-		if i == root {
-			continue
-		}
-		in := g.p.recvRaw(g.global(i), tag).payload().floats
-		parts[i] = in
-		total += len(in)
-	}
-	out := make([]float64, 0, total)
-	for _, part := range parts {
-		out = append(out, part...)
-	}
-	return out
-}
-
-// AllGatherFloats gathers equal-length contributions from every member and
-// broadcasts the concatenation, so each member returns the full vector.
-func (g *Group) AllGatherFloats(xs []float64) []float64 {
-	all := g.GatherFloats(0, xs)
-	return g.BcastFloats(0, all)
 }

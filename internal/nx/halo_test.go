@@ -47,11 +47,11 @@ func randHaloPat(rng *rand.Rand, k int) haloPat {
 }
 
 // haloOp is one operation of a random halo program: an exchange of
-// pattern pat, or a Compute or Elapse charge per rank. cut ends a chunk:
+// pattern pat, or a vector or scalar Compute charge per rank. cut ends a chunk:
 // the wrapped program closes its sequence there, and every program reads
 // its clock.
 type haloOp struct {
-	kind int // 0 exchange, 1 Compute, 2 Elapse
+	kind int // 0 exchange, 1 vector Compute, 2 scalar Compute
 	pat  int
 	durs []float64
 	cut  bool
@@ -85,11 +85,8 @@ func randNeighbourProgram(rng *rand.Rand, procs int) *neighbourProgram {
 		o.kind = rng.Intn(3)
 		o.pat = rng.Intn(len(hp.pats))
 		o.cut = rng.Intn(4) == 0
-		switch o.kind {
-		case 1:
+		if o.kind != 0 {
 			o.durs = randDurations(rng, procs, 1e5, seqDurations)
-		case 2:
-			o.durs = randDurations(rng, procs, 1e-4, seqDurations)
 		}
 	}
 	return hp
@@ -105,14 +102,13 @@ func (hp *neighbourProgram) member(p *Proc) int {
 	return -1
 }
 
-// charge applies a Compute or Elapse op.
+// charge applies a Compute op.
 func (o haloOp) charge(p *Proc) {
-	switch o.kind {
-	case 1:
-		p.Compute(machine.OpVector, o.durs[p.Rank()])
-	case 2:
-		p.Elapse(o.durs[p.Rank()])
+	op := machine.OpVector
+	if o.kind == 2 {
+		op = machine.OpScalar
 	}
+	p.Compute(op, o.durs[p.Rank()])
 }
 
 // mailboxBody is the program written as SendPhantom + RecvAll.
@@ -246,7 +242,7 @@ func TestSequenceHaloDifferentialRandomPrograms(t *testing.T) {
 
 // TestSequenceHaloRepeatedMarks: a long sequence of exchanges, each after
 // the same Compute (recorded as one repeated mark), broken by a different
-// charge, an Elapse and a step with no charge before it, matches the
+// charge, a scalar Compute and a step with no charge before it, matches the
 // mailbox formulation and records a delta stream that does not grow with
 // the run of repeats.
 func TestSequenceHaloRepeatedMarks(t *testing.T) {
@@ -283,7 +279,7 @@ func TestSequenceHaloRepeatedMarks(t *testing.T) {
 					}
 					p.Compute(machine.OpVector, flops(i, p.Rank()))
 					if i == 40 {
-						p.Elapse(1e-6)
+						p.Compute(machine.OpScalar, 6)
 					}
 				}
 				streamLen[p.Rank()] = len(p.deltaBuf)
@@ -396,7 +392,7 @@ func TestFusedHaloPatternMismatchPanics(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Run(Config{Model: model, Collectives: CollectivesFused, DeadlockAfter: 200 * time.Millisecond}, func(p *Proc) {
+			_, err := Run(Config{Model: model, collectives: CollectivesFused, DeadlockAfter: 200 * time.Millisecond}, func(p *Proc) {
 				h := p.World().Halo(tc.sends(p.Rank()), tc.recvs(p.Rank()))
 				h.Exchange()
 			})
@@ -416,7 +412,7 @@ func TestFusedHaloPatternMismatchPanics(t *testing.T) {
 // other group's step.
 func TestSequenceHaloRefusesOtherGroups(t *testing.T) {
 	model := diffModel(1, 4)
-	_, err := Run(Config{Model: model, Collectives: CollectivesFused, DeadlockAfter: 200 * time.Millisecond}, func(p *Proc) {
+	_, err := Run(Config{Model: model, collectives: CollectivesFused, DeadlockAfter: 200 * time.Millisecond}, func(p *Proc) {
 		pair := p.Group([]int{p.Rank() &^ 1, p.Rank() | 1})
 		h := pair.Halo([]HaloSend{{To: 1 - pair.Rank(), Tag: 1, Bytes: 8}}, []HaloRecv{{From: 1 - pair.Rank(), Tag: 1}})
 		p.World().PhantomSequence(h.Exchange)
@@ -437,7 +433,7 @@ func TestFusedDrainWakeSteadyStateAllocs(t *testing.T) {
 		var before, after goruntime.MemStats
 		st := ReadEngineStats()
 		goruntime.ReadMemStats(&before)
-		mustRun(t, Config{Model: model, Collectives: CollectivesFused}, func(p *Proc) {
+		mustRun(t, Config{Model: model, collectives: CollectivesFused}, func(p *Proc) {
 			w := p.World()
 			for i := 0; i < ops; i++ {
 				w.AllreducePhantom(i%p.Size(), 16)

@@ -7,22 +7,21 @@ import (
 	"sync/atomic"
 )
 
-// Msg is a received message. Exactly one of Data or Floats is non-nil for
-// payload-carrying messages; both are nil for phantom messages, whose
-// declared size still contributes to virtual transfer time and statistics.
+// Msg is a received message. Floats is the payload of a SendFloats
+// message and nil for phantom messages, whose declared size still
+// contributes to virtual transfer time and statistics.
 type Msg struct {
 	Src      int
 	Tag      Tag
-	Data     []byte
 	Floats   []float64
 	Bytes    int     // payload size in bytes (declared size for phantoms)
 	ArriveAt float64 // virtual arrival time at the receiver
 }
 
 // envelope is a queued message as the mailbox ring stores it: 32 bytes
-// against Msg's 80, so queueing, matching and dequeuing a phantom message
-// copies well under half as much. The public Msg is built only for callers
-// that take one (Recv, Wait, RecvFloats, RecvAll with an out slice). src
+// against Msg's 56, so queueing, matching and dequeuing a phantom message
+// copies little more than half as much. The public Msg is built only for
+// callers that take one (Recv, RecvFloats, RecvAll with an out slice). src
 // and tag fit in int32: ranks are mesh nodes, and collective tags stay
 // below TagUserMax + 2^27 (see Proc.Group).
 type envelope struct {
@@ -42,7 +41,7 @@ func (e *envelope) matches(src int, tag Tag) bool {
 func (e envelope) msg() Msg {
 	m := Msg{Src: int(e.src), Tag: Tag(e.tag), Bytes: e.nbytes, ArriveAt: e.arrive}
 	if e.pl != nil {
-		m.Data, m.Floats = e.pl.data, e.pl.floats
+		m.Floats = e.pl.floats
 	}
 	return m
 }

@@ -3,8 +3,9 @@
 // substrate every distributed experiment in this repository executes on.
 //
 // Each simulated node is a goroutine running the same program body (SPMD).
-// Blocking send/receive with (source, tag) matching, wildcard receives and
-// tree-based collectives mirror the NX csend/crecv/gop interface.
+// Sends of float slices or of phantom byte counts, blocking receives with
+// (source, tag) matching, wildcard receives and tree-based collectives
+// mirror the NX csend/crecv/gop interface.
 //
 // Time is virtual: each process owns a clock (package vtime); computation
 // advances it through the machine model (package machine); every message
@@ -75,10 +76,11 @@ type Config struct {
 	// instead of a result. A nil Ctx preserves the classic
 	// run-to-completion behavior.
 	Ctx context.Context
-	// Collectives selects how Group collectives execute: fused analytic
-	// rendezvous (the default) or the legacy per-edge tree messages.
-	// Both produce bit-identical virtual times and stats; see fused.go.
-	Collectives CollectiveMode
+	// collectives pins how Group collectives execute: fused analytic
+	// rendezvous or the legacy per-edge tree messages, which produce
+	// bit-identical virtual times and stats (see fused.go). Tests only;
+	// 0 = DefaultCollectives().
+	collectives CollectiveMode
 	// pendLimit overrides the adaptive deferred-settlement window
 	// (tests only; 0 = adaptivePendLimit of the process count).
 	pendLimit int
@@ -90,7 +92,7 @@ type ProcStats struct {
 	Flops       float64 // floating-point operations charged
 	BytesSent   int64   // payload bytes sent (declared size for phantoms)
 	MsgsSent    int64   // messages sent
-	ComputeTime float64 // virtual seconds spent in Compute/Elapse
+	ComputeTime float64 // virtual seconds spent in Compute
 	RecvWait    float64 // virtual seconds spent waiting for messages
 }
 
@@ -184,8 +186,8 @@ func Run(cfg Config, body func(p *Proc)) (*Result, error) {
 		quiesce = 2 * time.Second
 	}
 
-	mode := cfg.Collectives
-	if mode == CollectivesAuto {
+	mode := cfg.collectives
+	if mode == 0 {
 		mode = DefaultCollectives()
 	}
 	pendLimit := cfg.pendLimit

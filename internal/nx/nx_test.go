@@ -58,31 +58,14 @@ func TestRanksAndSize(t *testing.T) {
 	}
 }
 
-func TestSendRecvBytes(t *testing.T) {
-	mustRun(t, Config{Model: tiny(1, 2)}, func(p *Proc) {
-		if p.Rank() == 0 {
-			p.Send(1, 7, []byte("delta"))
-		} else {
-			m := p.Recv(0, 7)
-			if string(m.Data) != "delta" {
-				t.Errorf("payload = %q", m.Data)
-			}
-			if m.Src != 0 || m.Tag != 7 || m.Bytes != 5 {
-				t.Errorf("metadata wrong: %+v", m)
-			}
-		}
-	})
-}
-
 func TestSendCopiesPayload(t *testing.T) {
 	mustRun(t, Config{Model: tiny(1, 2)}, func(p *Proc) {
 		if p.Rank() == 0 {
-			buf := []byte{1, 2, 3}
-			p.Send(1, 0, buf)
+			buf := []float64{1, 2, 3}
+			p.SendFloats(1, 0, buf)
 			buf[0] = 99 // mutation after send must not be visible
 		} else {
-			m := p.Recv(0, 0)
-			if m.Data[0] != 1 {
+			if got := p.RecvFloats(0, 0); got[0] != 1 {
 				t.Error("send did not copy payload")
 			}
 		}
@@ -111,7 +94,7 @@ func TestPhantomMessageCarriesSizeOnly(t *testing.T) {
 			p.SendPhantom(1, 0, 1<<20)
 		} else {
 			m := p.Recv(0, 0)
-			if m.Data != nil || m.Floats != nil {
+			if m.Floats != nil {
 				t.Error("phantom message should carry no payload")
 			}
 			if m.Bytes != 1<<20 {
@@ -180,7 +163,7 @@ func TestWildcardRecv(t *testing.T) {
 func TestProbe(t *testing.T) {
 	mustRun(t, Config{Model: tiny(1, 2)}, func(p *Proc) {
 		if p.Rank() == 0 {
-			p.Send(1, 4, []byte{1})
+			p.SendPhantom(1, 4, 1)
 		} else {
 			// spin until delivered (host-level), then probe
 			for !p.Probe(0, 4) {
@@ -252,16 +235,6 @@ func TestComputeAdvancesClockAndCountsFlops(t *testing.T) {
 	}
 }
 
-func TestElapse(t *testing.T) {
-	res := mustRun(t, Config{Model: tiny(1, 1)}, func(p *Proc) {
-		p.Elapse(2.5)
-		p.Elapse(-1) // ignored
-	})
-	if math.Abs(res.Makespan-2.5) > 1e-12 {
-		t.Fatalf("makespan = %g, want 2.5", res.Makespan)
-	}
-}
-
 func TestRecvWaitAccounted(t *testing.T) {
 	model := tiny(1, 2)
 	res := mustRun(t, Config{Model: model}, func(p *Proc) {
@@ -289,7 +262,7 @@ func TestSendToSelf(t *testing.T) {
 func TestInvalidDestinationPanics(t *testing.T) {
 	_, err := Run(Config{Model: tiny(1, 2)}, func(p *Proc) {
 		if p.Rank() == 0 {
-			p.Send(5, 0, nil)
+			p.SendPhantom(5, 0, 0)
 		} else {
 			p.Recv(0, 0)
 		}
@@ -302,7 +275,7 @@ func TestInvalidDestinationPanics(t *testing.T) {
 
 func TestReservedTagPanics(t *testing.T) {
 	_, err := Run(Config{Model: tiny(1, 1)}, func(p *Proc) {
-		p.Send(0, TagUserMax, nil)
+		p.SendPhantom(0, TagUserMax, 0)
 	})
 	var pe *PanicError
 	if !asErr(err, &pe) {
@@ -379,57 +352,6 @@ func TestTraceRecorded(t *testing.T) {
 	}
 	if res.Makespan <= 0 {
 		t.Fatal("zero makespan")
-	}
-}
-
-func TestIRecvOverlapHidesFlightTime(t *testing.T) {
-	// Posting the receive early and computing before Wait must hide the
-	// message flight time; receiving first and computing afterwards pays
-	// both in full. This is the overlap idiom NX applications relied on.
-	model := tiny(1, 2)
-	const flops = 6e6 // 1 virtual second of scalar work
-
-	overlapped := mustRun(t, Config{Model: model}, func(p *Proc) {
-		if p.Rank() == 0 {
-			p.SendPhantom(1, 0, 10_000_000) // ~0.83 s of serialization
-		} else {
-			req := p.IRecv(0, 0)
-			p.Compute(machine.OpScalar, flops)
-			req.Wait()
-		}
-	})
-	sequential := mustRun(t, Config{Model: model}, func(p *Proc) {
-		if p.Rank() == 0 {
-			p.SendPhantom(1, 0, 10_000_000)
-		} else {
-			p.Recv(0, 0)
-			p.Compute(machine.OpScalar, flops)
-		}
-	})
-	if overlapped.Makespan >= sequential.Makespan {
-		t.Fatalf("overlap (%g) should beat sequential (%g)",
-			overlapped.Makespan, sequential.Makespan)
-	}
-	// the win should be roughly the compute duration (1 s)
-	gain := sequential.Makespan - overlapped.Makespan
-	if gain < 0.5 {
-		t.Fatalf("overlap gain %g too small", gain)
-	}
-}
-
-func TestWaitTwicePanics(t *testing.T) {
-	_, err := Run(Config{Model: tiny(1, 2)}, func(p *Proc) {
-		if p.Rank() == 0 {
-			p.SendPhantom(1, 0, 0)
-		} else {
-			req := p.IRecv(0, 0)
-			req.Wait()
-			req.Wait()
-		}
-	})
-	var pe *PanicError
-	if !asErr(err, &pe) {
-		t.Fatalf("want PanicError, got %v", err)
 	}
 }
 

@@ -21,7 +21,7 @@ type Proc struct {
 	rt    *runtime
 	stats ProcStats
 	tview *trace.ProcView
-	fused bool // run-wide collective mode (see Config.Collectives)
+	fused bool // run-wide collective mode (see CollectiveMode)
 
 	// Deferred-settlement state (fused mode; owner-goroutine only except
 	// where noted). pend is the chain of collectives whose releases this
@@ -120,9 +120,6 @@ func (p *Proc) Rank() int { return p.rank }
 // Size returns the number of processes in the run.
 func (p *Proc) Size() int { return p.size }
 
-// Model returns the machine model of the run.
-func (p *Proc) Model() machine.Model { return p.model }
-
 // Now returns the process's current virtual time in seconds. It settles
 // any deferred collective releases first, so the value reflects every
 // operation the process has performed.
@@ -163,24 +160,6 @@ func (p *Proc) Compute(op machine.Op, flops float64) {
 	p.tview.Add(trace.PhaseCompute, start, p.clock.Now())
 }
 
-// Elapse advances the local clock by a fixed duration (non-flop work such as
-// memory movement or I/O). Negative durations are ignored.
-func (p *Proc) Elapse(seconds float64) {
-	if len(p.pend) > 0 {
-		if seconds > 0 {
-			p.deltaBuf = append(p.deltaBuf, seconds)
-			p.stats.ComputeTime += seconds
-		}
-		return
-	}
-	start := p.clock.Now()
-	p.clock.Advance(seconds)
-	if seconds > 0 {
-		p.stats.ComputeTime += seconds
-	}
-	p.tview.Add(trace.PhaseCompute, start, p.clock.Now())
-}
-
 func (p *Proc) checkDst(dst int) {
 	if dst < 0 || dst >= p.size {
 		panic(fmt.Sprintf("nx: rank %d sending to invalid rank %d (size %d)", p.rank, dst, p.size))
@@ -198,15 +177,15 @@ func (p *Proc) checkTag(tag Tag, wildcardOK bool) {
 	}
 }
 
-// sendRaw performs the common send path. Exactly one of data/floats may be
-// non-nil; nbytes is the modelled payload size.
+// sendRaw performs the common send path. floats is the payload (nil for
+// phantom messages); nbytes is the modelled payload size.
 //
 // The sender's clock is charged the software overhead plus the payload
 // serialization time: the node's single network port cannot overlap the
 // bytes of back-to-back sends (LogGP's per-byte gap G). The message then
 // needs only the base latency and per-hop time to arrive, so the one-way
 // point-to-point total matches machine.PointToPointTime.
-func (p *Proc) sendRaw(dst int, tag Tag, data []byte, floats []float64, nbytes int) {
+func (p *Proc) sendRaw(dst int, tag Tag, floats []float64, nbytes int) {
 	p.checkDst(dst)
 	if len(p.pend) > 0 {
 		p.settle() // the message timestamp needs the concrete clock
@@ -216,8 +195,8 @@ func (p *Proc) sendRaw(dst int, tag Tag, data []byte, floats []float64, nbytes i
 	arrive := p.clock.Now() + p.model.Net.Latency +
 		float64(p.hops(dst))*p.model.Net.PerHop
 	var pl *payload
-	if data != nil || floats != nil {
-		pl = &payload{data: data, floats: floats, bytes: nbytes}
+	if floats != nil {
+		pl = &payload{floats: floats, bytes: nbytes}
 	}
 	p.rt.procs[dst].mbox.put(p.rank, tag, pl, nbytes, arrive)
 	// The delivery count feeds the deadlock watchdog's quiescence check;
@@ -229,18 +208,11 @@ func (p *Proc) sendRaw(dst int, tag Tag, data []byte, floats []float64, nbytes i
 	p.tview.Add(trace.PhaseSend, start, p.clock.Now())
 }
 
-// Send delivers a copy of data to dst with the given tag (csend).
-func (p *Proc) Send(dst int, tag Tag, data []byte) {
-	p.checkTag(tag, false)
-	cp := append([]byte(nil), data...)
-	p.sendRaw(dst, tag, cp, nil, len(cp))
-}
-
 // SendFloats delivers a copy of xs to dst with the given tag.
 func (p *Proc) SendFloats(dst int, tag Tag, xs []float64) {
 	p.checkTag(tag, false)
 	cp := append([]float64(nil), xs...)
-	p.sendRaw(dst, tag, nil, cp, 8*len(cp))
+	p.sendRaw(dst, tag, cp, 8*len(cp))
 }
 
 // SendPhantom delivers a payload-free message that is accounted (in virtual
@@ -251,7 +223,7 @@ func (p *Proc) SendPhantom(dst int, tag Tag, nbytes int) {
 	if nbytes < 0 {
 		nbytes = 0
 	}
-	p.sendRaw(dst, tag, nil, nil, nbytes)
+	p.sendRaw(dst, tag, nil, nbytes)
 }
 
 // ExchangeBatchPhantom performs count back-to-back symmetric phantom
@@ -281,7 +253,7 @@ func (p *Proc) ExchangeBatchPhantom(peer int, tag Tag, nbytes, count int) {
 	}
 	if !p.fused {
 		for i := 0; i < count; i++ {
-			p.sendRaw(peer, tag, nil, nil, nbytes)
+			p.sendRaw(peer, tag, nil, nbytes)
 			p.recvRaw(peer, tag)
 		}
 		return
@@ -427,34 +399,4 @@ func (p *Proc) Probe(src int, tag Tag) bool {
 		p.flush(payload{}, nil, false)
 	}
 	return p.mbox.probe(src, tag)
-}
-
-// Request is a pending nonblocking receive posted with IRecv. Wait
-// completes it.
-type Request struct {
-	p    *Proc
-	src  int
-	tag  Tag
-	done bool
-}
-
-// IRecv posts a nonblocking receive (irecv in NX terms). The returned
-// Request must be completed with Wait. Because the runtime buffers eagerly,
-// the value of IRecv is virtual-time overlap: computation performed between
-// IRecv and Wait advances the local clock, hiding the message's flight
-// time, exactly as overlap did on the real machine.
-func (p *Proc) IRecv(src int, tag Tag) *Request {
-	p.checkTag(tag, true)
-	p.checkSrc(src, true)
-	return &Request{p: p, src: src, tag: tag}
-}
-
-// Wait blocks until the posted receive completes and returns the message.
-// Waiting twice on the same request panics.
-func (r *Request) Wait() Msg {
-	if r.done {
-		panic("nx: Wait on a completed Request")
-	}
-	r.done = true
-	return r.p.recvRaw(r.src, r.tag).msg()
 }

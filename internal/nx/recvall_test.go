@@ -23,7 +23,7 @@ import (
 type haloSend struct {
 	dst  int
 	tag  Tag
-	kind int // 0 phantom, 1 bytes, 2 floats
+	kind int // 0 phantom, 1 small-integer floats, 2 floats
 	size int
 }
 
@@ -76,11 +76,11 @@ func (s haloSend) send(p *Proc, round, seq int) {
 	case 0:
 		p.SendPhantom(s.dst, s.tag, 8*s.size)
 	case 1:
-		b := make([]byte, s.size)
-		for i := range b {
-			b[i] = byte(round + 7*seq + 13*p.Rank() + i)
+		xs := make([]float64, s.size)
+		for i := range xs {
+			xs[i] = float64(round + 7*seq + 13*p.Rank() + i)
 		}
-		p.Send(s.dst, s.tag, b)
+		p.SendFloats(s.dst, s.tag, xs)
 	default:
 		xs := make([]float64, s.size)
 		for i := range xs {
@@ -133,7 +133,7 @@ func (hp *haloProgram) body(recvAll bool, logs []haloLog) func(p *Proc) {
 }
 
 // TestRecvAllDifferentialRandomPrograms runs random neighbour programs —
-// phantom, byte and float payloads, duplicate specs, deferred broadcasts
+// phantom and float payloads, duplicate specs, deferred broadcasts
 // queued ahead of the receives — once with consecutive Recv calls and
 // once with RecvAll, untraced and traced, at each GOMAXPROCS setting, and
 // demands identical payloads, clocks, ProcStats and trace spans.
@@ -258,7 +258,7 @@ func TestRecvAllQueuedPostsNoFalseDeadlock(t *testing.T) {
 	tree := runWindow(t, model, 2, CollectivesTree, 0, body)
 	for _, gmp := range hostProcs() {
 		withGOMAXPROCS(gmp, func() {
-			res, err := Run(Config{Model: model, Collectives: CollectivesFused, pendLimit: 1024, DeadlockAfter: 200 * time.Millisecond}, body)
+			res, err := Run(Config{Model: model, collectives: CollectivesFused, pendLimit: 1024, DeadlockAfter: 200 * time.Millisecond}, body)
 			if err != nil {
 				t.Fatalf("GOMAXPROCS=%d: %v", gmp, err)
 			}

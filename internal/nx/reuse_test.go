@@ -96,8 +96,8 @@ func checkIdleScrubbed(t *testing.T) {
 						t.Fatal("an idle rendezvous keeps a delta view or a link")
 					}
 				}
-				if sd := r.side; sd != nil && (slices.ContainsFunc(sd.pls, func(pl payload) bool { return pl.data != nil || pl.floats != nil }) ||
-					slices.ContainsFunc(sd.out, func(pl payload) bool { return pl.data != nil || pl.floats != nil }) || sd.steps != nil) {
+				if sd := r.side; sd != nil && (slices.ContainsFunc(sd.pls, func(pl payload) bool { return pl.floats != nil }) ||
+					slices.ContainsFunc(sd.out, func(pl payload) bool { return pl.floats != nil }) || sd.steps != nil) {
 					t.Fatal("an idle rendezvous keeps a payload or a step list")
 				}
 			}
@@ -167,14 +167,12 @@ func (c reuseCase) run(t *testing.T) (*Result, [][]float64, []trace.Record, Engi
 		for i := 0; i < c.data; i++ {
 			xs := []float64{float64(r) + 0.5*float64(i), float64(i) * 1.25}
 			exits[r] = append(exits[r], w.AllreduceFloats(xs, SumOp)...)
-			var b []byte
+			var b []float64
 			if r == i%n {
-				b = []byte{byte(i), byte(r), 7}
+				b = []float64{float64(i), float64(r), 7}
 			}
-			for _, x := range w.Bcast(i%n, b) {
-				exits[r] = append(exits[r], float64(x))
-			}
-			exits[r] = append(exits[r], w.GatherFloats(i%n, xs)...)
+			exits[r] = append(exits[r], w.BcastFloats(i%n, b)...)
+			exits[r] = append(exits[r], w.BcastFloats(i%n, xs)...)
 			if n > 1 {
 				p.SendFloats((r+1)%n, Tag(3), xs)
 				exits[r] = append(exits[r], p.RecvFloats((r-1+n)%n, Tag(3))...)
@@ -193,7 +191,7 @@ func (c reuseCase) run(t *testing.T) (*Result, [][]float64, []trace.Record, Engi
 		}
 		exits[r] = append(exits[r], p.Now())
 	}
-	cfg := Config{Model: c.model, Procs: c.procs, Collectives: c.mode, pendLimit: c.window}
+	cfg := Config{Model: c.model, Procs: c.procs, collectives: c.mode, pendLimit: c.window}
 	var rec *trace.Recorder
 	if c.traced {
 		rec = trace.NewRecorder(c.procs)
@@ -383,7 +381,7 @@ func TestFusedReuseIdleBounded(t *testing.T) {
 	// A 2-process run whose window, chains, step list and mailbox ring
 	// all grow past the caps.
 	dropIdleRuntimes()
-	mustRun(t, Config{Model: diffModel(1, 2), Collectives: CollectivesFused, pendLimit: 64}, func(p *Proc) {
+	mustRun(t, Config{Model: diffModel(1, 2), collectives: CollectivesFused, pendLimit: 64}, func(p *Proc) {
 		w := p.World()
 		for i := 0; i < 80; i++ {
 			w.PhantomSequence(func() {
@@ -430,7 +428,7 @@ func TestFusedReuseIdleBounded(t *testing.T) {
 			inside.Add(inFlight)
 			for k := 0; k < inFlight; k++ {
 				go func() {
-					_, err := Run(Config{Model: diffModel(1, n), Collectives: CollectivesFused}, func(p *Proc) {
+					_, err := Run(Config{Model: diffModel(1, n), collectives: CollectivesFused}, func(p *Proc) {
 						if p.Rank() == 0 {
 							inside.Done()
 							inside.Wait()
@@ -495,7 +493,7 @@ func TestFusedReuseKeepsNoRetiredRendezvous(t *testing.T) {
 	filed := make(chan struct{})
 	var rt *runtime
 	var retired []*rendezvous
-	mustRun(t, Config{Model: diffModel(1, 2), Collectives: CollectivesFused, pendLimit: 64}, func(p *Proc) {
+	mustRun(t, Config{Model: diffModel(1, 2), collectives: CollectivesFused, pendLimit: 64}, func(p *Proc) {
 		w := p.World()
 		if p.Rank() == 1 {
 			<-filed

@@ -10,8 +10,7 @@ import (
 // A phantom sequence batches a run of phantom steps on one Group into a
 // single fused rendezvous: every member opens the sequence, issues the
 // same phantom collectives, ExchangePhantom and halo steps on the group,
-// with any Compute and Elapse charges of its own in between, and closes
-// it.
+// with any Compute charges of its own in between, and closes it.
 // The member posts once, at the open, and keeps running; the replay then
 // walks the recorded steps in order with the ordinary edge formulas,
 // applying before each step the local advances the member recorded since
@@ -20,7 +19,7 @@ import (
 // rendezvous for the whole run of steps instead of one per step.
 //
 // Each member's advances and step boundaries share its existing delta
-// stream: deferred Compute and Elapse record only positive advances, so a
+// stream: deferred Compute records only positive advances, so a
 // non-positive mark separates the steps. A sequence post's deltas are
 // its entry advances, a bare mark (stepMark) written at the open, and
 // then, for each step the member takes part in, the advances that
@@ -92,14 +91,14 @@ const stepHashBasis = 14695981039346656037
 
 // PhantomSequence runs body as one phantom sequence on the group. Every
 // member must call it, and inside body every member must issue the same
-// steps in the same order: BcastPhantom, ReducePhantom, AllreducePhantom
-// and BcastFlatPhantom on this group, ExchangePhantom, each with the
-// same arguments on every member, and Exchange of a halo registered on
-// this group. Between steps a member may Compute and
-// Elapse as it likes. Anything that needs a concrete clock or talks to
-// another group — a send or receive, Now, Probe, Barrier, a data
-// collective, a collective on another group, a nested sequence — fails
-// the run with a panic naming the rank.
+// steps in the same order: BcastPhantom, ReducePhantom and
+// AllreducePhantom on this group and ExchangePhantom, each with the same
+// arguments on every member, and Exchange of a halo registered on this
+// group. Between steps a member may Compute as it likes. Anything that
+// needs a concrete clock or talks to another group — a send or receive
+// (BcastFlatPhantom and RingAllreducePhantom among them), Now, Probe,
+// Barrier, a data collective, a collective on another group, a nested
+// sequence — fails the run with a panic naming the rank.
 //
 // Virtual times and stats are bit-identical to running body without the
 // sequence. On the tree engine, on traced runs and for one-member groups
@@ -264,8 +263,6 @@ func (f *fusedSim) sequence(steps []seqStep) {
 		switch st.kind {
 		case fusedBcast:
 			f.bcastPayload(root, payload{bytes: st.nbytes})
-		case fusedFlatBcast:
-			f.flatBcast(root)
 		case fusedReducePhantom:
 			f.reduce(root, false)
 		case fusedAllreducePhantom:

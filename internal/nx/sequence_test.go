@@ -25,10 +25,10 @@ var (
 
 // seqOp is one operation of a random sequence program.
 type seqOp struct {
-	kind          int // 0 Bcast, 1 Reduce, 2 Allreduce, 3 BcastFlat, 4 Exchange, 5 Compute, 6 Elapse
+	kind          int // 0 Bcast, 1 Reduce, 2 Allreduce, 3 Reduce+Bcast, 4 Exchange, 5 panel Compute, 6 scalar Compute
 	root, a, b    int
 	nbytes, count int
-	durs          []float64 // Compute flops / Elapse seconds, per rank
+	durs          []float64 // Compute flops, per rank
 }
 
 // seqBlock is one run of operations that the wrapped program issues as a
@@ -82,11 +82,8 @@ func randSeqProgram(rng *rand.Rand, procs, k int, nanFlops bool) []seqBlock {
 			if o.kind == 4 && k == 1 {
 				o.kind = 5
 			}
-			switch o.kind {
-			case 5:
+			if o.kind >= 5 {
 				o.durs = randDurations(rng, procs, 1e5, flops)
-			case 6:
-				o.durs = randDurations(rng, procs, 1e-4, seqDurations)
 			}
 		}
 	}
@@ -140,19 +137,20 @@ func seqBody(blocks []seqBlock, members []int, wrap bool, exits [][]float64) fun
 					case 2:
 						g.AllreducePhantom(o.root, o.nbytes)
 					case 3:
-						g.BcastFlatPhantom(o.root, o.nbytes)
+						g.ReducePhantom(o.root, o.nbytes)
+						g.BcastPhantom(o.root, o.nbytes)
 					case 4:
 						g.ExchangePhantom(Tag(7), o.a, o.b, o.nbytes, o.count)
 					case 5:
 						p.Compute(machine.OpPanel, o.durs[r])
 					case 6:
-						p.Elapse(o.durs[r])
+						p.Compute(machine.OpScalar, o.durs[r])
 					}
 				}
 			}
 			switch {
 			case g == nil:
-				p.Elapse(1e-5)
+				p.Compute(machine.OpScalar, 60)
 			case wrap:
 				g.PhantomSequence(steps)
 			default:
@@ -223,7 +221,7 @@ func TestSequenceOneRendezvous(t *testing.T) {
 	model := diffModel(1, 4)
 	const steps = 10
 	before := ReadEngineStats()
-	mustRun(t, Config{Model: model, Collectives: CollectivesFused}, func(p *Proc) {
+	mustRun(t, Config{Model: model, collectives: CollectivesFused}, func(p *Proc) {
 		w := p.World()
 		w.PhantomSequence(func() {
 			for i := 0; i < steps; i++ {
@@ -244,7 +242,7 @@ func TestSequenceTraceFallback(t *testing.T) {
 	model := diffModel(2, 4)
 	run := func(mode CollectiveMode) []trace.Record {
 		rec := trace.NewRecorder(model.Nodes())
-		_, err := Run(Config{Model: model, Trace: rec, Collectives: mode}, func(p *Proc) {
+		_, err := Run(Config{Model: model, Trace: rec, collectives: mode}, func(p *Proc) {
 			g := p.World()
 			g.PhantomSequence(func() {
 				p.Compute(machine.OpGemm, float64(1e6*(p.Rank()+1)))
@@ -280,6 +278,7 @@ func TestSequenceMisuse(t *testing.T) {
 		{"barrier", func(p *Proc, g *Group) { g.Barrier() }, "Barrier inside a phantom sequence"},
 		{"data-collective", func(p *Proc, g *Group) { g.AllreduceFloats([]float64{1}, SumOp) }, "AllreduceFloats inside a phantom sequence"},
 		{"exchange-batch", func(p *Proc, g *Group) { p.ExchangeBatchPhantom(p.Rank()^1, Tag(1), 8, 1) }, "inside a phantom sequence"},
+		{"flat-bcast", func(p *Proc, g *Group) { g.BcastFlatPhantom(0, 8) }, "inside a phantom sequence"},
 		{"other-group", func(p *Proc, g *Group) {
 			p.Group([]int{p.Rank() &^ 1, p.Rank() | 1}).BcastPhantom(0, 8)
 		}, "on another group inside a phantom sequence"},
@@ -295,7 +294,7 @@ func TestSequenceMisuse(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Run(Config{Model: model, Collectives: CollectivesFused}, func(p *Proc) {
+			_, err := Run(Config{Model: model, collectives: CollectivesFused}, func(p *Proc) {
 				g := p.World()
 				g.PhantomSequence(func() { tc.body(p, g) })
 			})
@@ -316,7 +315,7 @@ func TestSequenceMisuse(t *testing.T) {
 func TestSequenceExchangeValidation(t *testing.T) {
 	for _, mode := range []CollectiveMode{CollectivesFused, CollectivesTree} {
 		for _, ab := range [][2]int{{0, 0}, {-1, 1}, {0, 4}} {
-			_, err := Run(Config{Model: diffModel(1, 4), Collectives: mode}, func(p *Proc) {
+			_, err := Run(Config{Model: diffModel(1, 4), collectives: mode}, func(p *Proc) {
 				p.World().ExchangePhantom(Tag(1), ab[0], ab[1], 8, 1)
 			})
 			var pe *PanicError
@@ -347,7 +346,7 @@ func TestSequenceStepPoolConcurrentRuns(t *testing.T) {
 			}
 		}
 	}
-	want := mustRun(t, Config{Model: model, Collectives: CollectivesFused}, body)
+	want := mustRun(t, Config{Model: model, collectives: CollectivesFused}, body)
 	const runs = 6
 	got := make([]*Result, runs)
 	errs := make([]error, runs)
@@ -356,7 +355,7 @@ func TestSequenceStepPoolConcurrentRuns(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i], errs[i] = Run(Config{Model: model, Collectives: CollectivesFused, pendLimit: 1 + 7*i}, body)
+			got[i], errs[i] = Run(Config{Model: model, collectives: CollectivesFused, pendLimit: 1 + 7*i}, body)
 		}()
 	}
 	wg.Wait()
