@@ -28,8 +28,8 @@ var Determinism = &Analyzer{
 	Run:  runDeterminism,
 }
 
-// deterministicPkgs are the packages whose outputs feed Results, wire
-// frames or traces — the bit-identity surface. Prefixes end in "/".
+// deterministicPkgs are the packages whose outputs feed Results or wire
+// frames — the bit-identity surface. Prefixes end in "/".
 var deterministicPkgs = []string{
 	"repro/internal/nx",
 	"repro/internal/harness",
@@ -40,7 +40,6 @@ var deterministicPkgs = []string{
 	"repro/internal/nren",
 	"repro/internal/blas",
 	"repro/internal/sim",
-	"repro/internal/trace",
 	"repro/internal/machine",
 	"repro/internal/core",
 	"repro/internal/apps/",

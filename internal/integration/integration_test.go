@@ -1,11 +1,10 @@
 // Package integration_test exercises cross-module scenarios: applications
-// on the runtime with trace recording, accounting identities between
-// layers, and full-machine runs on every catalog model.
+// on the runtime, accounting identities between layers, and full-machine
+// runs on every catalog model.
 package integration_test
 
 import (
-	"math"
-	"strings"
+	"fmt"
 	"testing"
 
 	"repro/internal/apps/ep"
@@ -14,42 +13,45 @@ import (
 	"repro/internal/machine"
 	"repro/internal/nx"
 	"repro/internal/topo"
-	"repro/internal/trace"
 )
 
-func TestLinpackTraceAccounting(t *testing.T) {
-	// Run a small LU with tracing and verify the accounting identities
-	// between the runtime and the trace layer: per-process compute time
-	// recorded in the trace equals the runtime's ComputeTime, and no
-	// process is busy longer than the makespan.
-	rec := trace.NewRecorder(4)
-	out, err := linpack.Run(linpack.Config{
-		N: 64, NB: 8, GridRows: 2, GridCols: 2,
-		Model: machine.SubMesh(machine.Delta(), 2, 2),
-		Seed:  3, Trace: rec,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rank, ps := range out.Result.Procs {
-		tot := rec.PhaseTotals(rank)
-		if math.Abs(tot[trace.PhaseCompute]-ps.ComputeTime) > 1e-9 {
-			t.Fatalf("rank %d: trace compute %g vs runtime %g",
-				rank, tot[trace.PhaseCompute], ps.ComputeTime)
-		}
-		busy := tot[trace.PhaseCompute] + tot[trace.PhaseSend] + tot[trace.PhaseRecvWait]
-		if busy > ps.Finish+1e-9 {
-			t.Fatalf("rank %d: busy %g exceeds finish %g", rank, busy, ps.Finish)
-		}
-	}
-	gantt := rec.Gantt(out.Result.Makespan, 60, 4)
-	if !strings.Contains(gantt, "C") {
-		t.Fatal("gantt missing compute spans")
-	}
-	util := rec.Utilization(out.Result.Makespan)
-	for rank, u := range util {
-		if u <= 0 || u > 1 {
-			t.Fatalf("rank %d utilization %g outside (0,1]", rank, u)
+func TestLinpackStatsAccounting(t *testing.T) {
+	// Run a small LU in both numerics modes on both collective engines
+	// and verify the accounting identities between the kernel and the
+	// runtime: every process computes, its compute and receive-wait time
+	// fit inside its finish time, no process finishes after the
+	// makespan, and the per-process flops add up to the run's total.
+	defer nx.SetDefaultCollectives(nx.DefaultCollectives())
+	for _, mode := range []nx.CollectiveMode{nx.CollectivesFused, nx.CollectivesTree} {
+		for _, phantom := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%v/phantom=%v", mode, phantom), func(t *testing.T) {
+				nx.SetDefaultCollectives(mode)
+				out, err := linpack.Run(linpack.Config{
+					N: 64, NB: 8, GridRows: 2, GridCols: 2,
+					Model:   machine.SubMesh(machine.Delta(), 2, 2),
+					Phantom: phantom, Seed: 3,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res := out.Result
+				flops := 0.0
+				for rank, ps := range res.Procs {
+					if ps.ComputeTime <= 0 {
+						t.Fatalf("rank %d: compute time %g, want > 0", rank, ps.ComputeTime)
+					}
+					if busy := ps.ComputeTime + ps.RecvWait; busy > ps.Finish+1e-9 {
+						t.Fatalf("rank %d: compute %g + recv wait %g exceeds finish %g", rank, ps.ComputeTime, ps.RecvWait, ps.Finish)
+					}
+					if ps.Finish > res.Makespan {
+						t.Fatalf("rank %d: finish %g exceeds makespan %g", rank, ps.Finish, res.Makespan)
+					}
+					flops += ps.Flops
+				}
+				if flops != res.TotalFlops {
+					t.Fatalf("per-process flops sum to %g, total is %g", flops, res.TotalFlops)
+				}
+			})
 		}
 	}
 }

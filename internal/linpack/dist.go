@@ -9,7 +9,6 @@ import (
 	"repro/internal/blas"
 	"repro/internal/machine"
 	"repro/internal/nx"
-	"repro/internal/trace"
 )
 
 // Tags for pairwise exchanges; collectives manage their own tag space.
@@ -28,7 +27,6 @@ type Config struct {
 	Model    machine.Model
 	Phantom  bool  // cost-only mode: no real numerics, Delta-scale feasible
 	Seed     int64 // matrix seed (real mode) / pivot-pattern seed (phantom)
-	Trace    *trace.Recorder
 	// KeepFactors saves the gathered LU factors and pivots in the Outcome
 	// (real mode only); used by equivalence tests.
 	KeepFactors bool
@@ -87,7 +85,7 @@ func Run(cfg Config) (*Outcome, error) {
 		global = blas.NewRandom(cfg.N, cfg.Seed)
 	}
 
-	res, err := nx.Run(nx.Config{Model: cfg.Model, Procs: p, Trace: cfg.Trace, Ctx: cfg.Ctx}, func(proc *nx.Proc) {
+	res, err := nx.Run(nx.Config{Model: cfg.Model, Procs: p, Ctx: cfg.Ctx}, func(proc *nx.Proc) {
 		w := newWorker(proc, cfg, global)
 		w.factor()
 		// synchronize and record the timed region before verification

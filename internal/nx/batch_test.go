@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/machine"
-	"repro/internal/trace"
 )
 
 // The batched-posting suite: deferred fused posts are queued per process
@@ -23,7 +22,7 @@ import (
 // single bit: every program below runs on the tree path once and on the
 // fused path at each deferred-settlement window and GOMAXPROCS setting,
 // and all runs must agree — exit clocks observed inside the program,
-// final ProcStats, Makespan and trace spans.
+// final ProcStats and Makespan.
 
 // batchWindows are the deferred-settlement windows (pendLimit) the suite
 // sweeps: no batching, shallow, the adaptive floor, the adaptive cap, and
@@ -296,38 +295,6 @@ func TestBatchExchangeDifferential(t *testing.T) {
 		got := runWindow(t, model, procs, CollectivesFused, window, script(true))
 		assertSameResult(t, tree, got, "batched "+label)
 	})
-}
-
-// TestBatchTraceDifferential: with a Recorder attached (which settles
-// every operation eagerly), the fused span stream must match the tree
-// path's at every GOMAXPROCS setting.
-func TestBatchTraceDifferential(t *testing.T) {
-	model := diffModel(2, 4)
-	run := func(mode CollectiveMode) []trace.Record {
-		rec := trace.NewRecorder(model.Nodes())
-		_, err := Run(Config{Model: model, Trace: rec, collectives: mode}, func(p *Proc) {
-			g := p.World()
-			p.Compute(machine.OpGemm, float64(1e6*(p.Rank()+1)))
-			g.Barrier()
-			g.BcastPhantom(0, 1024)
-			if peer := p.Rank() ^ 1; peer < p.Size() {
-				p.ExchangeBatchPhantom(peer, Tag(1), 32, 2)
-			}
-			g.AllreducePhantom(0, 8)
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
-		}
-		return rec.Records()
-	}
-	base := run(CollectivesTree)
-	for _, gmp := range hostProcs() {
-		withGOMAXPROCS(gmp, func() {
-			if got := run(CollectivesFused); !reflect.DeepEqual(base, got) {
-				t.Fatalf("GOMAXPROCS=%d: fused trace records diverge: %d records, want %d", gmp, len(got), len(base))
-			}
-		})
-	}
 }
 
 // TestBatchQueuedPostsFlushBeforeRecv: a process with queued deferred

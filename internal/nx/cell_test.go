@@ -11,11 +11,10 @@ import (
 	"unsafe"
 
 	"repro/internal/machine"
-	"repro/internal/trace"
 )
 
 // Tests of the fused engine's pooled cell layout: each (rendezvous,
-// member) pair is one fusedCell, payloads and spans live in a lazily
+// member) pair is one fusedCell, payloads live in a lazily
 // allocated side struct, and a recycled rendezvous is unfiled by a
 // generation stamp rather than cleared. The differentials below target
 // what that layout can get wrong — a side struct that is missing when a
@@ -100,7 +99,7 @@ func TestCellEmptyDataCollectives(t *testing.T) {
 // TestCellPooledReuse alternates phantom and data collectives and
 // exchange batches on one member list for enough rounds that every
 // pooled rendezvous is recycled many times, under deferred chains, and
-// diffs the values, clocks, stats and trace spans against the tree path
+// diffs the values, clocks and stats against the tree path
 // at every GOMAXPROCS setting and batching window. A stale payload (a
 // nil root contribution replaced by the previous round's, a reduce
 // combining the previous round's accumulator), a stale link or a stale
@@ -149,44 +148,29 @@ func TestCellPooledReuse(t *testing.T) {
 			}
 		}
 	}
-	run := func(mode CollectiveMode, window int, traced bool) (*Result, [][]string, []trace.Record) {
+	run := func(mode CollectiveMode, window int) (*Result, [][]string) {
 		recs := make([][]string, procs)
-		cfg := Config{Model: model, collectives: mode, pendLimit: window}
-		var rec *trace.Recorder
-		if traced {
-			rec = trace.NewRecorder(procs)
-			cfg.Trace = rec
-		}
-		res, err := Run(cfg, script(recs))
+		res, err := Run(Config{Model: model, collectives: mode, pendLimit: window}, script(recs))
 		if err != nil {
-			t.Fatalf("%v window=%d traced=%v: %v", mode, window, traced, err)
+			t.Fatalf("%v window=%d: %v", mode, window, err)
 		}
-		if rec == nil {
-			return res, recs, nil
+		return res, recs
+	}
+	base, baseRecs := run(CollectivesTree, 0)
+	forEachBatching(func(window int, label string) {
+		before := ReadEngineStats()
+		got, recs := run(CollectivesFused, window)
+		st := ReadEngineStats().Sub(before)
+		assertSameResult(t, base, got, label)
+		for r := range baseRecs {
+			if !reflect.DeepEqual(baseRecs[r], recs[r]) {
+				t.Fatalf("%s: proc %d diverges:\n tree  %q\n fused %q", label, r, baseRecs[r], recs[r])
+			}
 		}
-		return res, recs, rec.Records()
-	}
-	for _, traced := range []bool{false, true} {
-		base, baseRecs, baseSpans := run(CollectivesTree, 0, traced)
-		forEachBatching(func(window int, label string) {
-			label = fmt.Sprintf("%s traced=%v", label, traced)
-			before := ReadEngineStats()
-			got, recs, spans := run(CollectivesFused, window, traced)
-			st := ReadEngineStats().Sub(before)
-			assertSameResult(t, base, got, label)
-			for r := range baseRecs {
-				if !reflect.DeepEqual(baseRecs[r], recs[r]) {
-					t.Fatalf("%s: proc %d diverges:\n tree  %q\n fused %q", label, r, baseRecs[r], recs[r])
-				}
-			}
-			if !reflect.DeepEqual(baseSpans, spans) {
-				t.Fatalf("%s: trace records diverge: %d records, want %d", label, len(spans), len(baseSpans))
-			}
-			if st.Pooled == 0 || st.Rendezvous < 8*st.Pooled {
-				t.Fatalf("%s: %d rendezvous over %d pooled: the pool is not recycled enough to test reuse", label, st.Rendezvous, st.Pooled)
-			}
-		})
-	}
+		if st.Pooled == 0 || st.Rendezvous < 8*st.Pooled {
+			t.Fatalf("%s: %d rendezvous over %d pooled: the pool is not recycled enough to test reuse", label, st.Rendezvous, st.Pooled)
+		}
+	})
 }
 
 // TestCellLayoutGuard pins the sizes of the engine's per-member cell and

@@ -17,10 +17,10 @@ package nx
 // use (SendOverhead, ByteTime, Latency, PerHop·hops, RecvOverhead), in
 // the exact per-member program order the tree algorithms execute — and
 // every member is released with its exit clock, its stat deltas and its
-// result payload. Virtual times, ProcStats and trace spans are
-// bit-identical to the tree path; only the host-time cost changes. CI
-// gates the equivalence with a differential test (fused_test.go) and a
-// full-report byte-identity cmp step.
+// result payload. Virtual times and ProcStats are bit-identical to the
+// tree path; only the host-time cost changes. CI gates the equivalence
+// with a differential test (fused_test.go) and a full-report
+// byte-identity cmp step.
 //
 // Six further mechanisms make the engine fast rather than merely
 // message-free:
@@ -46,9 +46,9 @@ package nx
 //     is one fusedCell holding the entry, the filed stamp, the link to
 //     the member's next entry and, in place of the entry once replayed,
 //     the release: filing, resolving and settling a member touch one
-//     record. Payloads, reduce ops and trace spans live in a side struct
-//     that phantom rendezvous never allocate, and the replay's scratch
-//     is one buffer per engine rather than one per rendezvous.
+//     record. Payloads and reduce ops live in a side struct that phantom
+//     rendezvous never allocate, and the replay's scratch is one buffer
+//     per engine rather than one per rendezvous.
 //   - Pooled, wake-through-channel plumbing. Rendezvous and their cells
 //     are recycled per group, so steady-state phantom collectives
 //     allocate nothing, and a cleanly finished run's whole runtime —
@@ -65,11 +65,11 @@ package nx
 //     deferred rendezvous whose replay runs the steps in order.
 //     Every member must record the same steps. Sends, receives, Now,
 //     Probe, Barrier, data collectives, other groups' collectives and
-//     nested sequences inside one fail the run. On the tree engine, on
-//     traced runs and for one-member groups a sequence just runs its
-//     body, so the tree engine stays the oracle. A sequence is distinct
-//     from batched posting above: batching files many posts under one
-//     lock hold, a sequence makes many steps one post.
+//     nested sequences inside one fail the run. On the tree engine and
+//     for one-member groups a sequence just runs its body, so the tree
+//     engine stays the oracle. A sequence is distinct from batched
+//     posting above: batching files many posts under one lock hold, a
+//     sequence makes many steps one post.
 //   - Halo exchanges (halo.go). Group.Halo registers each member's
 //     phantom sends and receives once, and each Halo.Exchange is a
 //     deferred post, or a sequence step, replayed with the same edge
@@ -78,7 +78,7 @@ package nx
 //     per host park becomes arithmetic inside one rendezvous. Halo
 //     exchanges are the only fused operation that stands for
 //     point-to-point traffic; like sequences, they take the mailbox path
-//     on the tree engine, on traced runs and for one-member groups.
+//     on the tree engine and for one-member groups.
 //
 // One semantic difference from the tree path: a fused collective is a
 // full-group rendezvous in host time — no member's release exists until
@@ -116,8 +116,6 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
-
-	"repro/internal/trace"
 )
 
 // CollectiveMode selects how Group collectives execute.
@@ -255,8 +253,8 @@ func (k fusedKind) tags() int {
 // fusedCell is one member's record in a rendezvous — its entry and, once
 // the rendezvous is done, its release — laid out so that filing,
 // resolving and settling the member touch this one record. Everything a
-// phantom collective needs lives here; payloads and trace spans live in
-// the rendezvous' side struct.
+// phantom collective needs lives here; payloads live in the rendezvous'
+// side struct.
 //
 // As an entry, clock and recvWait hold where the member's clock and
 // RecvWait accumulator stand at entry. An entry is concrete when filed
@@ -301,25 +299,18 @@ type fusedCell struct {
 }
 
 // fusedSide is a rendezvous' cold data: one element per member of
-// payload contributions and reduce ops, result payloads, and trace spans,
-// which only data-carrying or traced rendezvous allocate, and a phantom
-// sequence's step list. A plain phantom rendezvous has no side.
+// payload contributions and reduce ops and result payloads, which only
+// data-carrying rendezvous allocate, and a phantom sequence's step list.
+// A plain phantom rendezvous has no side.
 type fusedSide struct {
-	pls   []payload
-	ops   []ReduceOp
-	out   []payload
-	spans [][]traceSpan
+	pls []payload
+	ops []ReduceOp
+	out []payload
 	// steps is a phantom sequence's step list: a view of group member
 	// 0's stepBuf, which that member keeps until it has settled the
 	// sequence. hash is the first filer's step hash.
 	steps []seqStep
 	hash  uint64
-}
-
-// traceSpan is one deferred trace record the member applies on release.
-type traceSpan struct {
-	phase      trace.Phase
-	start, end float64
 }
 
 // groupSlot is the per-member-list rendezvous anchor, shared by every
@@ -374,8 +365,9 @@ type rendezvous struct {
 	gen        uint32 // a cell is filed this generation iff its stamp == gen
 	arrived    int
 	unresolved int // entries still symbolic (their predecessor not done)
-	// side is allocated on the rendezvous' first data-carrying or traced
-	// use and cleared on reuse; phantom rendezvous leave it nil.
+	// side is allocated on the rendezvous' first data-carrying use (or
+	// a sequence's step list) and cleared on reuse; phantom rendezvous
+	// leave it nil.
 	side *fusedSide
 	// done and settled are atomic so the settle fast path (tail already
 	// complete) runs without the engine lock: done is written under the
@@ -526,9 +518,7 @@ func fusedRendezvous(p *Proc, s *groupSlot, me int, kind fusedKind, root, nbytes
 		pr.deltas = p.deltaBuf[p.deltaLo:len(p.deltaBuf):len(p.deltaBuf)]
 	}
 	p.deltaLo = len(p.deltaBuf)
-	// Tracing needs a concrete clock at every Compute, so deferral
-	// is disabled for traced runs; they settle each operation eagerly.
-	return lazy && !p.rt.traceOn && len(p.pend) < p.rt.pendLimit
+	return lazy && len(p.pend) < p.rt.pendLimit
 }
 
 // growPend makes room on the chain for one more post. A chain buffer
@@ -711,16 +701,13 @@ func (s *groupSlot) takeFree(k int) *rendezvous {
 	return r
 }
 
-// clearSide empties the side struct, if any, so no stale payload, op,
-// span or step list outlives its collective.
+// clearSide empties the side struct, if any, so no stale payload, op or
+// step list outlives its collective.
 func (r *rendezvous) clearSide() {
 	if sd := r.side; sd != nil {
 		clear(sd.pls)
 		clear(sd.ops)
 		clear(sd.out)
-		for i := range sd.spans {
-			sd.spans[i] = sd.spans[i][:0]
-		}
 		sd.steps = nil
 	}
 }
@@ -734,7 +721,6 @@ func (r *rendezvous) sideFor() *fusedSide {
 		sd.pls = make([]payload, k)
 		sd.ops = make([]ReduceOp, k)
 		sd.out = make([]payload, k)
-		sd.spans = make([][]traceSpan, k)
 	}
 	return sd
 }
@@ -855,11 +841,6 @@ func (p *Proc) settleWith(pl payload, op ReduceOp) payload {
 		rel := &pr.r.cells[pr.idx]
 		bytes += rel.bytes
 		msgs += int64(rel.msgs)
-		if sd := pr.r.side; sd != nil && sd.spans != nil {
-			for _, sp := range sd.spans[pr.idx] {
-				p.tview.Add(sp.phase, sp.start, sp.end)
-			}
-		}
 	}
 	tail := &p.pend[len(p.pend)-1]
 	last := &tail.r.cells[tail.idx]
@@ -957,9 +938,6 @@ func fusedCompute(p *Proc, r *rendezvous) {
 		}
 		c.bytes, c.msgs = 0, 0
 	}
-	if p.rt.traceOn {
-		r.sideFor()
-	}
 	f := &fusedSim{p: p, members: members, r: r}
 	switch kind {
 	case fusedBarrier:
@@ -1019,37 +997,34 @@ func (f *fusedSim) send(i, j, nbytes int) float64 {
 
 // sendHops is send for an edge of the given hop count, for replays that
 // know it in advance.
+//
+// sendHops and recv run once per replayed edge and must stay within the
+// compiler's inlining budget, so that they inline into every replay
+// loop: out of line, each with one more branch, they cost the
+// 528-process stencil run (perfbench halo-528) about a fifth of its
+// wall time on a 2-vCPU host. CI fails if go build -gcflags=-m stops
+// reporting either as inlinable.
 func (f *fusedSim) sendHops(i, hops, nbytes int) float64 {
 	net := &f.p.model.Net
 	c := &f.r.cells[i]
-	start := c.clock
 	advance(&c.clock, net.SendOverhead+float64(nbytes)*net.ByteTime)
 	arrive := c.clock + net.Latency + float64(hops)*net.PerHop
 	c.bytes += int64(nbytes)
 	c.msgs++
-	if f.p.rt.traceOn {
-		sp := &f.r.side.spans[i]
-		*sp = append(*sp, traceSpan{trace.PhaseSend, start, c.clock})
-	}
 	return arrive
 }
 
 // recv replays recvRaw on member j for a message arriving at the given
 // virtual time: Lamport-merge the arrival, account the wait, charge the
-// receive overhead.
+// receive overhead. Like sendHops, it must stay inlinable.
 func (f *fusedSim) recv(j int, arrive float64) {
 	net := &f.p.model.Net
 	c := &f.r.cells[j]
-	start := c.clock
 	if arrive > c.clock {
 		c.recvWait += arrive - c.clock
 		c.clock = arrive
 	}
 	advance(&c.clock, net.RecvOverhead)
-	if f.p.rt.traceOn {
-		sp := &f.r.side.spans[j]
-		*sp = append(*sp, traceSpan{trace.PhaseRecvWait, start, c.clock})
-	}
 }
 
 // scratchArr returns the engine's arrival scratch, one element per

@@ -8,14 +8,13 @@ import (
 	"testing"
 
 	"repro/internal/machine"
-	"repro/internal/trace"
 )
 
 // The differential suite: every program below runs once with the fused
 // analytic engine and once with the tree message path, and the two runs
 // must agree bit for bit — exit clocks observed inside the program,
-// final ProcStats, Makespan, payload contents, and trace spans. This is
-// the contract that lets the fused engine be the default.
+// final ProcStats, Makespan and payload contents. This is the contract
+// that lets the fused engine be the default.
 
 // diffModel is a small asymmetric mesh so hops matter.
 func diffModel(rows, cols int) machine.Model {
@@ -228,38 +227,6 @@ func TestFusedDifferentialAllreducePair(t *testing.T) {
 		if !reflect.DeepEqual(tree[i], fused[i]) {
 			t.Fatalf("proc %d diverges:\n tree  %+v\n fused %+v", i, tree[i], fused[i])
 		}
-	}
-}
-
-// TestFusedDifferentialTrace: with a Recorder attached the fused engine
-// must emit the identical span stream (tracing disables deferral but not
-// fusion).
-func TestFusedDifferentialTrace(t *testing.T) {
-	model := diffModel(2, 4)
-	run := func(mode CollectiveMode) []trace.Record {
-		rec := trace.NewRecorder(model.Nodes())
-		_, err := Run(Config{Model: model, Trace: rec, collectives: mode}, func(p *Proc) {
-			g := p.World()
-			p.Compute(machine.OpGemm, float64(1e6*(p.Rank()+1)))
-			g.Barrier()
-			g.BcastPhantom(0, 1024)
-			g.ReducePhantom(1, 64)
-			g.AllreducePhantom(0, 8)
-			switch p.Rank() {
-			case 0, 3, 5:
-				sub := p.Group([]int{0, 3, 5})
-				sub.BcastPhantom(0, 128)
-			}
-		})
-		if err != nil {
-			t.Fatalf("%v run: %v", mode, err)
-		}
-		return rec.Records()
-	}
-	tree := run(CollectivesTree)
-	fused := run(CollectivesFused)
-	if !reflect.DeepEqual(tree, fused) {
-		t.Fatalf("trace records diverge: tree %d records, fused %d", len(tree), len(fused))
 	}
 }
 

@@ -32,9 +32,8 @@ import (
 // also carry plain sends to the same receivers while exchanges are
 // outstanding.
 //
-// On the tree engine, on traced runs and for one-member groups an
-// exchange takes the mailbox path itself, so the tree engine stays the
-// oracle.
+// On the tree engine and for one-member groups an exchange takes the
+// mailbox path itself, so the tree engine stays the oracle.
 
 // HaloSend is one phantom send of a halo exchange: a message accounted
 // as Bytes (negative counts as zero, as in SendPhantom) to the member
@@ -116,7 +115,7 @@ func (g *Group) Halo(sends []HaloSend, recvs []HaloRecv) Halo {
 		p.checkTag(r.Tag, false)
 	}
 	h := Halo{g: g, id: -1}
-	if !p.fused || p.rt.traceOn || n == 1 {
+	if !p.fused || n == 1 {
 		h.sends = make([]HaloSend, len(sends))
 		for i, s := range sends {
 			h.sends[i] = HaloSend{To: g.members[s.To], Tag: s.Tag, Bytes: s.Bytes}

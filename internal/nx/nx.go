@@ -40,7 +40,6 @@ import (
 	"time"
 
 	"repro/internal/machine"
-	"repro/internal/trace"
 	"repro/internal/vtime"
 )
 
@@ -65,8 +64,6 @@ type Config struct {
 	// Procs is the number of processes; 0 means Model.Nodes(). It must not
 	// exceed Model.Nodes() (ranks are mapped one-to-one onto mesh nodes).
 	Procs int
-	// Trace, if non-nil, records per-process activity spans.
-	Trace *trace.Recorder
 	// DeadlockAfter overrides the watchdog quiescence interval (host time).
 	// Zero means the 2s default. Tests inject small values.
 	DeadlockAfter time.Duration
@@ -312,8 +309,7 @@ func Run(cfg Config, body func(p *Proc)) (*Result, error) {
 // run's runtime is reset and kept for a later run of the same size (see
 // runtimes.go).
 type runtime struct {
-	procs   []*Proc
-	traceOn bool // cfg.Trace was set; fused releases carry trace spans
+	procs []*Proc
 
 	// The fused-collective engine (fused.go). mu guards the slot map,
 	// every slot's and rendezvous' state, the pooled cascade worklist,

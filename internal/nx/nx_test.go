@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // tiny returns a small fast machine model for unit tests.
@@ -330,28 +329,6 @@ func TestNoFalseDeadlockUnderLoad(t *testing.T) {
 		})
 	if err != nil {
 		t.Fatalf("false positive deadlock: %v", err)
-	}
-}
-
-func TestTraceRecorded(t *testing.T) {
-	rec := trace.NewRecorder(2)
-	res := mustRun(t, Config{Model: tiny(1, 2), Trace: rec}, func(p *Proc) {
-		if p.Rank() == 0 {
-			p.Compute(machine.OpGemm, 1e6)
-			p.SendPhantom(1, 0, 100)
-		} else {
-			p.Recv(0, 0)
-		}
-	})
-	totals := rec.PhaseTotals(-1)
-	if totals[trace.PhaseCompute] <= 0 {
-		t.Fatal("no compute recorded")
-	}
-	if totals[trace.PhaseRecvWait] <= 0 {
-		t.Fatal("no recv wait recorded")
-	}
-	if res.Makespan <= 0 {
-		t.Fatal("zero makespan")
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/machine"
-	"repro/internal/trace"
 	"repro/internal/vtime"
 )
 
@@ -20,7 +19,6 @@ type Proc struct {
 	mbox  mailbox
 	rt    *runtime
 	stats ProcStats
-	tview *trace.ProcView
 	fused bool // run-wide collective mode (see CollectiveMode)
 
 	// Deferred-settlement state (fused mode; owner-goroutine only except
@@ -132,8 +130,8 @@ func (p *Proc) Now() float64 {
 
 // Compute charges flops floating-point operations of the given class to the
 // local clock through the machine model. Non-positive charges are exact
-// no-ops (zero duration, zero flops, and the trace drops zero-width
-// spans), so they return before touching the clock.
+// no-ops (zero duration, zero flops), so they return before touching the
+// clock.
 func (p *Proc) Compute(op machine.Op, flops float64) {
 	if flops <= 0 {
 		return
@@ -144,8 +142,7 @@ func (p *Proc) Compute(op machine.Op, flops float64) {
 		// collective releases resolve, so record the advance for the
 		// resolver to replay in order. Only positive advances move the
 		// clock, so only they are recorded (which leaves non-positive
-		// values free to mark sequence steps). Tracing disables deferral
-		// (lazyOK), so no span is lost here.
+		// values free to mark sequence steps).
 		if d > 0 {
 			p.deltaBuf = append(p.deltaBuf, d)
 		}
@@ -153,11 +150,9 @@ func (p *Proc) Compute(op machine.Op, flops float64) {
 		p.stats.ComputeTime += d
 		return
 	}
-	start := p.clock.Now()
 	p.clock.Advance(d)
 	p.stats.Flops += flops
 	p.stats.ComputeTime += d
-	p.tview.Add(trace.PhaseCompute, start, p.clock.Now())
 }
 
 func (p *Proc) checkDst(dst int) {
@@ -190,7 +185,6 @@ func (p *Proc) sendRaw(dst int, tag Tag, floats []float64, nbytes int) {
 	if len(p.pend) > 0 {
 		p.settle() // the message timestamp needs the concrete clock
 	}
-	start := p.clock.Now()
 	p.clock.Advance(p.model.Net.SendOverhead + float64(nbytes)*p.model.Net.ByteTime)
 	arrive := p.clock.Now() + p.model.Net.Latency +
 		float64(p.hops(dst))*p.model.Net.PerHop
@@ -205,7 +199,6 @@ func (p *Proc) sendRaw(dst int, tag Tag, floats []float64, nbytes int) {
 	p.mbox.sent.Add(1)
 	p.stats.BytesSent += int64(nbytes)
 	p.stats.MsgsSent++
-	p.tview.Add(trace.PhaseSend, start, p.clock.Now())
 }
 
 // SendFloats delivers a copy of xs to dst with the given tag.
@@ -313,13 +306,11 @@ func (p *Proc) recvRaw(src int, tag Tag) envelope {
 // charges the receive overhead, as one receive that began at the current
 // clock.
 func (p *Proc) land(e *envelope) {
-	start := p.clock.Now()
-	if e.arrive > start {
-		p.stats.RecvWait += e.arrive - start
+	if now := p.clock.Now(); e.arrive > now {
+		p.stats.RecvWait += e.arrive - now
 		p.clock.MergeAtLeast(e.arrive)
 	}
 	p.clock.Advance(p.model.Net.RecvOverhead)
-	p.tview.Add(trace.PhaseRecvWait, start, p.clock.Now())
 }
 
 // Recv blocks until a message matching (src, tag) arrives (crecv). src may
@@ -335,7 +326,7 @@ func (p *Proc) Recv(src int, tag Tag) Msg {
 
 // RecvAll receives one message per spec, in spec order, exactly as
 // consecutive Recv(spec.Src, spec.Tag) calls would: the same matches and
-// bit-identical virtual times, stats and trace spans. Unlike those calls
+// bit-identical virtual times and stats. Unlike those calls
 // it parks the host at most once, until every spec has a queued match,
 // which makes a halo exchange one host wakeup instead of one per
 // neighbour. A spec listed k times takes k messages. Specs must name

@@ -11,13 +11,12 @@ import (
 	"time"
 
 	"repro/internal/machine"
-	"repro/internal/trace"
 )
 
 // The RecvAll suite: RecvAll must be indistinguishable from the
-// consecutive Recv calls it replaces — same matches, payloads, clocks,
-// ProcStats and trace spans — under any host interleaving, while parking
-// at most once.
+// consecutive Recv calls it replaces — same matches, payloads, clocks
+// and ProcStats — under any host interleaving, while parking at most
+// once.
 
 // haloSend is one message of a random neighbour program.
 type haloSend struct {
@@ -135,8 +134,8 @@ func (hp *haloProgram) body(recvAll bool, logs []haloLog) func(p *Proc) {
 // TestRecvAllDifferentialRandomPrograms runs random neighbour programs —
 // phantom and float payloads, duplicate specs, deferred broadcasts
 // queued ahead of the receives — once with consecutive Recv calls and
-// once with RecvAll, untraced and traced, at each GOMAXPROCS setting, and
-// demands identical payloads, clocks, ProcStats and trace spans.
+// once with RecvAll, at each GOMAXPROCS setting, and demands identical
+// payloads, clocks and ProcStats.
 func TestRecvAllDifferentialRandomPrograms(t *testing.T) {
 	shapes := [][2]int{{1, 2}, {2, 2}, {1, 5}, {3, 3}, {2, 8}}
 	for trial := 0; trial < 10; trial++ {
@@ -145,38 +144,24 @@ func TestRecvAllDifferentialRandomPrograms(t *testing.T) {
 			model := diffModel(shape[0], shape[1])
 			procs := model.Nodes()
 			hp := newHaloProgram(rand.New(rand.NewSource(int64(7000+trial))), procs, 24)
-			run := func(recvAll, traced bool) (*Result, []haloLog, []trace.Record) {
+			run := func(recvAll bool) (*Result, []haloLog) {
 				logs := make([]haloLog, procs)
-				cfg := Config{Model: model}
-				var rec *trace.Recorder
-				if traced {
-					rec = trace.NewRecorder(procs)
-					cfg.Trace = rec
-				}
-				res, err := Run(cfg, hp.body(recvAll, logs))
+				res, err := Run(Config{Model: model}, hp.body(recvAll, logs))
 				if err != nil {
-					t.Fatalf("recvAll=%v traced=%v: %v", recvAll, traced, err)
+					t.Fatalf("recvAll=%v: %v", recvAll, err)
 				}
-				if rec == nil {
-					return res, logs, nil
-				}
-				return res, logs, rec.Records()
+				return res, logs
 			}
-			for _, traced := range []bool{false, true} {
-				want, wantLogs, wantRecs := run(false, traced)
-				for _, gmp := range hostProcs() {
-					withGOMAXPROCS(gmp, func() {
-						label := fmt.Sprintf("traced=%v GOMAXPROCS=%d", traced, gmp)
-						got, gotLogs, gotRecs := run(true, traced)
-						assertSameResult(t, want, got, label)
-						if !reflect.DeepEqual(wantLogs, gotLogs) {
-							t.Fatalf("%s: received messages or clocks diverge", label)
-						}
-						if !reflect.DeepEqual(wantRecs, gotRecs) {
-							t.Fatalf("%s: trace records diverge: %d records, want %d", label, len(gotRecs), len(wantRecs))
-						}
-					})
-				}
+			want, wantLogs := run(false)
+			for _, gmp := range hostProcs() {
+				withGOMAXPROCS(gmp, func() {
+					label := fmt.Sprintf("GOMAXPROCS=%d", gmp)
+					got, gotLogs := run(true)
+					assertSameResult(t, want, got, label)
+					if !reflect.DeepEqual(wantLogs, gotLogs) {
+						t.Fatalf("%s: received messages or clocks diverge", label)
+					}
+				})
 			}
 		})
 	}

@@ -15,14 +15,13 @@ import (
 	"time"
 
 	"repro/internal/machine"
-	"repro/internal/trace"
 )
 
 // The runtime-reuse suite: Run takes its runtime from a free list of
 // cleanly finished runs of the same size (runtimes.go), so whatever one
 // run leaves behind — a deeper window's chain, a grown mailbox ring, an
 // unreceived message, pooled rendezvous with payloads, another model's
-// caches, a trace view — must not change a later run by a single bit.
+// caches — must not change a later run by a single bit.
 // The tests name the fused engine so CI's race step runs them.
 
 // holdGC turns the collector off until the returned function runs: the
@@ -69,7 +68,7 @@ func idleOfSize(n int) int {
 
 // checkIdleScrubbed fails the test if an idle runtime pins anything of
 // its last run: a queued message or its payload, a chain entry, a
-// rendezvous payload or delta view, a trace view.
+// rendezvous payload or delta view.
 func checkIdleScrubbed(t *testing.T) {
 	t.Helper()
 	live, _ := idleList()
@@ -84,9 +83,6 @@ func checkIdleScrubbed(t *testing.T) {
 				if pr.r != nil || pr.s != nil || pr.deltas != nil {
 					t.Fatalf("rank %d of an idle runtime keeps a chain entry", p.rank)
 				}
-			}
-			if p.tview != nil {
-				t.Fatalf("rank %d of an idle runtime keeps a trace view", p.rank)
 			}
 		}
 		for _, sl := range rt.slots {
@@ -114,7 +110,6 @@ type reuseCase struct {
 	procs   int
 	mode    CollectiveMode
 	window  int
-	traced  bool
 	members []int
 	blocks  []seqBlock
 	wrap    bool
@@ -128,12 +123,13 @@ type reuseCase struct {
 func randReuseCase(rng *rand.Rand, procs int) reuseCase {
 	rows := 1 + rng.Intn(3)
 	cols := (procs+rows-1)/rows + rng.Intn(2)
+	window := []int{0, 1, 4, 16, 32}[rng.Intn(5)]
+	rng.Intn(4) // once chose a traced run; still drawn so each seed draws the same case
 	c := reuseCase{
 		model:  diffModel(rows, cols),
 		procs:  procs,
 		mode:   CollectivesFused,
-		window: []int{0, 1, 4, 16, 32}[rng.Intn(5)],
-		traced: rng.Intn(4) == 0,
+		window: window,
 		wrap:   rng.Intn(3) != 0,
 		data:   rng.Intn(3),
 		flood:  []int{0, 3, 100}[rng.Intn(3)],
@@ -148,9 +144,8 @@ func randReuseCase(rng *rand.Rand, procs int) reuseCase {
 }
 
 // run executes the case and returns its result, the clocks and payloads
-// each process observed, the trace (if traced) and the engine counters
-// of the run.
-func (c reuseCase) run(t *testing.T) (*Result, [][]float64, []trace.Record, EngineStats) {
+// each process observed and the engine counters of the run.
+func (c reuseCase) run(t *testing.T) (*Result, [][]float64, EngineStats) {
 	t.Helper()
 	exits := make([][]float64, c.procs)
 	seq := seqBody(c.blocks, c.members, c.wrap, exits)
@@ -191,36 +186,19 @@ func (c reuseCase) run(t *testing.T) (*Result, [][]float64, []trace.Record, Engi
 		}
 		exits[r] = append(exits[r], p.Now())
 	}
-	cfg := Config{Model: c.model, Procs: c.procs, collectives: c.mode, pendLimit: c.window}
-	var rec *trace.Recorder
-	if c.traced {
-		rec = trace.NewRecorder(c.procs)
-		cfg.Trace = rec
-	}
 	before := ReadEngineStats()
-	res, err := Run(cfg, body)
+	res, err := Run(Config{Model: c.model, Procs: c.procs, collectives: c.mode, pendLimit: c.window}, body)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	st := ReadEngineStats().Sub(before)
-	if rec == nil {
-		return res, exits, nil, st
-	}
-	spans := rec.Records()
-	t.Cleanup(func() {
-		// No later run of the test may write into this run's trace.
-		if !reflect.DeepEqual(spans, rec.Records()) {
-			t.Errorf("a later run added %d records to a finished run's trace", len(rec.Records())-len(spans))
-		}
-	})
-	return res, exits, spans, st
+	return res, exits, ReadEngineStats().Sub(before)
 }
 
 // TestFusedReuseDifferential runs pairs of random programs of one size
 // on fresh runtimes, then each on the runtime the other just finished
-// with, and demands bit-identical results, observed clocks and payloads,
-// and traces. Sizes, models, collective modes, windows, tracing and data
-// payloads all vary between the two programs of a pair, and the trials
+// with, and demands bit-identical results and observed clocks and
+// payloads. Sizes, models, collective modes, windows and data payloads
+// all vary between the two programs of a pair, and the trials
 // mix sizes, so the free list holds runtimes of several sizes at once.
 func TestFusedReuseDifferential(t *testing.T) {
 	defer holdGC()()
@@ -238,17 +216,16 @@ func TestFusedReuseDifferential(t *testing.T) {
 			type outcome struct {
 				res   *Result
 				exits [][]float64
-				spans []trace.Record
 			}
 			run := func(c reuseCase, wantReused bool, label string) outcome {
 				if !wantReused {
 					dropIdleRuntimes()
 				}
-				res, exits, spans, st := c.run(t)
+				res, exits, st := c.run(t)
 				if got := st.RuntimesReused == 1; got != wantReused || st.RuntimesReused+st.RuntimesBuilt != 1 {
 					t.Fatalf("%s: engine counted %v, want reused=%v", label, st, wantReused)
 				}
-				return outcome{res, exits, spans}
+				return outcome{res, exits}
 			}
 			check := func(label string, want, got outcome) {
 				t.Helper()
@@ -261,9 +238,6 @@ func TestFusedReuseDifferential(t *testing.T) {
 					if !same {
 						t.Fatalf("%s: proc %d observed\n %v\nwant\n %v", label, r, got.exits[r], want.exits[r])
 					}
-				}
-				if !reflect.DeepEqual(want.spans, got.spans) {
-					t.Fatalf("%s: traces differ: %d records, want %d", label, len(got.spans), len(want.spans))
 				}
 			}
 			freshA := run(a, false, "fresh a")
@@ -291,7 +265,7 @@ func TestFusedReuseAfterFailedRun(t *testing.T) {
 		members: []int{2, 0, 3}}
 	clean.blocks = randSeqProgram(rand.New(rand.NewSource(77)), 4, 3, false)
 	dropIdleRuntimes()
-	want, wantExits, _, _ := clean.run(t)
+	want, wantExits, _ := clean.run(t)
 
 	// Each failing body leaves deferred posts, pooled rendezvous and
 	// queued messages behind when it stops.
@@ -359,7 +333,7 @@ func TestFusedReuseAfterFailedRun(t *testing.T) {
 			if ofSize := idleOfSize(4); ofSize != 0 {
 				t.Fatalf("%d idle 4-process runtimes after the failed run took the only one", ofSize)
 			}
-			got, gotExits, _, st := clean.run(t)
+			got, gotExits, st := clean.run(t)
 			if st.RuntimesBuilt != 1 {
 				t.Fatalf("the run after the failure did not build a fresh runtime: %v", st)
 			}

@@ -23,7 +23,7 @@ import (
 // zeroes the clocks, stats, engine counters, watchdog counters, mailbox
 // rings (so an unreceived message pins no payload), chain and sequence
 // state and stale wake tokens, and scrubs the payloads and links of
-// every pooled rendezvous; start sets the model, trace, collective mode
+// every pooled rendezvous; start sets the model, collective mode
 // and window of the new run. A run that panicked, deadlocked, was
 // cancelled or was aborted is never kept: its processes stopped at
 // arbitrary points, and rebuilding is cheaper than proving a torn
@@ -143,15 +143,11 @@ func newRuntime(n int) *runtime {
 
 // start sets the per-run configuration of a new or reset runtime.
 func (rt *runtime) start(cfg Config, fused bool, pendLimit int) {
-	rt.traceOn = cfg.Trace != nil
 	rt.pendLimit = pendLimit
-	for i, p := range rt.procs {
+	for _, p := range rt.procs {
 		p.model = cfg.Model
 		p.fused = fused
 		p.initCaches()
-		if cfg.Trace != nil {
-			p.tview = cfg.Trace.Proc(i)
-		}
 	}
 }
 
@@ -161,7 +157,6 @@ func (rt *runtime) start(cfg Config, fused bool, pendLimit int) {
 // empty. reset runs after every process goroutine and the watchdog have
 // returned, so nothing else touches the runtime.
 func (rt *runtime) reset() {
-	rt.traceOn = false
 	rt.slotsAborted.Store(false)
 	clear(rt.cascade[:cap(rt.cascade)])
 	rt.cascade = rt.cascade[:0]
@@ -202,7 +197,6 @@ func (p *Proc) reset() {
 	p.clock = vtime.Clock{}
 	p.stats = ProcStats{}
 	p.engine = EngineStats{}
-	p.tview = nil
 	p.mbox.reset()
 	clear(p.pend[:cap(p.pend)]) // rendezvous, slots and delta views
 	p.pend = p.pend[:0]

@@ -101,11 +101,11 @@ const stepHashBasis = 14695981039346656037
 // sequence — fails the run with a panic naming the rank.
 //
 // Virtual times and stats are bit-identical to running body without the
-// sequence. On the tree engine, on traced runs and for one-member groups
-// PhantomSequence just runs body, so the tree engine remains the oracle.
+// sequence. On the tree engine and for one-member groups PhantomSequence
+// just runs body, so the tree engine remains the oracle.
 func (g *Group) PhantomSequence(body func()) {
 	p := g.p
-	if !p.fused || p.rt.traceOn || len(g.members) == 1 {
+	if !p.fused || len(g.members) == 1 {
 		body()
 		return
 	}

@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/machine"
-	"repro/internal/trace"
 )
 
 // Besides ordinary charges, the sequence programs draw zero, negative and
@@ -233,31 +231,6 @@ func TestSequenceOneRendezvous(t *testing.T) {
 	})
 	if st := ReadEngineStats().Sub(before); st.FusedPosts != 4 || st.Rendezvous != 1 || st.MailboxParks != 0 {
 		t.Fatalf("a %d-step sequence counted %v; want 4 posts and 1 rendezvous", 2*steps, st)
-	}
-}
-
-// TestSequenceTraceFallback: on a traced run a sequence just runs its
-// body, so its span stream matches the tree engine's.
-func TestSequenceTraceFallback(t *testing.T) {
-	model := diffModel(2, 4)
-	run := func(mode CollectiveMode) []trace.Record {
-		rec := trace.NewRecorder(model.Nodes())
-		_, err := Run(Config{Model: model, Trace: rec, collectives: mode}, func(p *Proc) {
-			g := p.World()
-			g.PhantomSequence(func() {
-				p.Compute(machine.OpGemm, float64(1e6*(p.Rank()+1)))
-				g.BcastPhantom(1, 1024)
-				g.ExchangePhantom(Tag(1), 0, 5, 32, 2)
-				g.ReducePhantom(3, 8)
-			})
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
-		}
-		return rec.Records()
-	}
-	if base, got := run(CollectivesTree), run(CollectivesFused); !reflect.DeepEqual(base, got) {
-		t.Fatalf("traced sequence records diverge: %d records, want %d", len(got), len(base))
 	}
 }
 

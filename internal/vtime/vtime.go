@@ -49,24 +49,6 @@ func (c *Clock) Set(t float64) {
 	c.t = t
 }
 
-// Span is a half-open virtual-time interval [Start, End).
-type Span struct {
-	Start, End float64
-}
-
-// Duration returns End-Start, or 0 for an inverted span.
-func (s Span) Duration() float64 {
-	if s.End < s.Start {
-		return 0
-	}
-	return s.End - s.Start
-}
-
-// Overlaps reports whether two spans intersect in a set of positive measure.
-func (s Span) Overlaps(o Span) bool {
-	return s.Start < o.End && o.Start < s.End
-}
-
 // Makespan returns the maximum of the given clock times; it is the virtual
 // wall-clock duration of a parallel program whose processes finished at the
 // given times. An empty slice yields 0.
@@ -81,7 +63,7 @@ func Makespan(times []float64) float64 {
 }
 
 // Format renders a duration in seconds using an appropriate SI unit, e.g.
-// "74.0us", "1.25ms", "3.20s". It is used by reports and traces.
+// "74.0us", "1.25ms", "3.20s".
 func Format(seconds float64) string {
 	abs := math.Abs(seconds)
 	switch {

@@ -81,33 +81,6 @@ func TestClockMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestSpanDuration(t *testing.T) {
-	if d := (Span{1, 3}).Duration(); d != 2 {
-		t.Fatalf("Duration = %g, want 2", d)
-	}
-	if d := (Span{3, 1}).Duration(); d != 0 {
-		t.Fatalf("inverted span Duration = %g, want 0", d)
-	}
-}
-
-func TestSpanOverlaps(t *testing.T) {
-	cases := []struct {
-		a, b Span
-		want bool
-	}{
-		{Span{0, 1}, Span{1, 2}, false}, // touching, half-open
-		{Span{0, 2}, Span{1, 3}, true},
-		{Span{1, 3}, Span{0, 2}, true},
-		{Span{0, 1}, Span{2, 3}, false},
-		{Span{0, 10}, Span{4, 5}, true}, // containment
-	}
-	for i, c := range cases {
-		if got := c.a.Overlaps(c.b); got != c.want {
-			t.Errorf("case %d: Overlaps(%v,%v) = %v, want %v", i, c.a, c.b, got, c.want)
-		}
-	}
-}
-
 func TestMakespan(t *testing.T) {
 	if m := Makespan(nil); m != 0 {
 		t.Fatalf("Makespan(nil) = %g, want 0", m)
